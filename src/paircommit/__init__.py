@@ -27,11 +27,13 @@ from .commitment import (
     WIProof,
     binding_key_from_exponent,
     binding_keygen,
+    check_key,
     commit,
     extract,
     hiding_key_from_exponent,
     hiding_keygen,
     homomorphic_combine,
+    key_fields,
     key_fingerprint,
     trapdoor_open,
     verify,
@@ -71,17 +73,16 @@ from .groups import (
     TRANSPARENT,
     TransparentContext,
     element_from_text,
-    element_to_text,
     g_inv,
     g_mul,
     g_pow,
     gt_element_from_text,
-    gt_element_to_text,
     gt_inv,
     gt_mul,
     gt_pow,
     is_in_subgroup_q,
     pair,
+    point_from_text,
     setup_curve,
     setup_transparent,
 )

@@ -19,6 +19,7 @@ from .arith import gen_prime
 from .commitment import (
     BINDING,
     DEFAULT_EXTRACT_BOUND,
+    ExtractionKey,
     HIDING,
     Opening,
     binding_keygen,
@@ -129,11 +130,17 @@ def cmd_open(args) -> int:
     return 0
 
 
-def cmd_forge(args) -> int:
+def _owned_extraction_key(args) -> ExtractionKey:
+    """The --secret extraction key, checked to belong to the --ck public key."""
     xk = fileio.load_extraction_key(args.secret)
     ck = fileio.load_commitment_key(args.ck)
     if key_fingerprint(ck) != key_fingerprint(xk.ck):
         raise PairCommitError("secret file does not belong to the public key")
+    return xk
+
+
+def cmd_forge(args) -> int:
+    xk = _owned_extraction_key(args)
     ctx = xk.ck.context
     rec = forge(xk.ck, ctx.p, ctx.q, beta1=args.beta1, rng=_rng_from(args.seed))
     fileio.save_forgery(args.out, rec, xk.ck)
@@ -144,10 +151,7 @@ def cmd_forge(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    xk = fileio.load_extraction_key(args.secret)
-    ck = fileio.load_commitment_key(args.ck)
-    if key_fingerprint(ck) != key_fingerprint(xk.ck):
-        raise PairCommitError("secret file does not belong to the public key")
+    xk = _owned_extraction_key(args)
     com = fileio.load_commitment(args.commitment, xk.ck)
     verdict = audit(xk.q, xk.ck, com)
     for key, value in fileio.verdict_fields(verdict):
@@ -160,10 +164,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_census(args) -> int:
-    xk = fileio.load_extraction_key(args.secret)
-    ck = fileio.load_commitment_key(args.ck)
-    if key_fingerprint(ck) != key_fingerprint(xk.ck):
-        raise PairCommitError("secret file does not belong to the public key")
+    xk = _owned_extraction_key(args)
     result = accepting_census(xk.ck.context, xk.ck)
     lines = fileio.census_lines(result)
     if args.out:

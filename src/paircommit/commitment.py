@@ -14,12 +14,13 @@ pi = (g^(2m-1) h^r)^r, accepted iff e(c, c*g^-1) = e(h, pi).
 
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 from .arith import ext_gcd, mod_inverse
 from .errors import KeyMismatch, NotExtractable
 from .groups import (
+    CURVE,
     GElement,
     GroupContext,
     g_inv,
@@ -39,10 +40,13 @@ class CommitmentKey:
     context: GroupContext
     h: GElement
     mode: str
+    # digest of key_fields(self), fixed at construction; read it through
+    # key_fingerprint
+    _digest: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def fingerprint(self) -> str:
-        return key_fingerprint(self)
+    def __post_init__(self):
+        text = "|".join(value for _, value in key_fields(self))
+        object.__setattr__(self, "_digest", hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
 @dataclass(frozen=True)
@@ -75,14 +79,25 @@ class Opening:
     r: int
 
 
+def key_fields(ck: CommitmentKey) -> List[Tuple[str, str]]:
+    """The public key material, in the order key files list it."""
+    ctx = ck.context
+    fields = [("mode", ck.mode), ("backend", ctx.backend), ("n", str(ctx.n))]
+    if ctx.backend == CURVE:
+        fields += [("fprime", str(ctx.field_prime)), ("cofactor", str(ctx.cofactor))]
+    fields += [("g", ctx.g.to_text()), ("h", ck.h.to_text())]
+    return fields
+
+
 def key_fingerprint(ck: CommitmentKey) -> str:
     """Short digest of the public key material, used as provenance tag."""
-    ctx = ck.context
-    parts = [ck.mode, ctx.backend, str(ctx.n)]
-    if ctx.backend == "curve":
-        parts += [str(ctx.field_prime), str(ctx.cofactor)]
-    parts += [ctx.g.to_text(), ck.h.to_text()]
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+    return ck._digest
+
+
+def check_key(ck: CommitmentKey, c: Commitment) -> None:
+    """Raise KeyMismatch unless c was made under ck."""
+    if c.key_fp != key_fingerprint(ck):
+        raise KeyMismatch("commitment was made under a different key")
 
 
 def _require_factorization(ctx: GroupContext) -> Tuple[int, int]:
@@ -159,7 +174,7 @@ def extract(xk: ExtractionKey, c: Commitment, bound: int = DEFAULT_EXTRACT_BOUND
     ck = xk.ck
     if ck.mode != BINDING:
         raise ValueError("extraction needs a binding-mode key")
-    _check_commitment_key(ck, c)
+    check_key(ck, c)
     ctx = ck.context
     target = g_pow(c.c, xk.q).value
     step = g_pow(ctx.g, xk.q).value
@@ -215,7 +230,7 @@ def verify(ck: CommitmentKey, c: Commitment, pi: WIProof) -> bool:
     c*g^-1 is recomputed here rather than accepted from the caller; one
     fewer malleable input.
     """
-    _check_commitment_key(ck, c)
+    check_key(ck, c)
     if pi.key_fp != key_fingerprint(ck):
         raise KeyMismatch("proof was made under a different key")
     shifted = g_mul(c.c, g_inv(ck.context.g))
@@ -227,8 +242,3 @@ def homomorphic_combine(c1: Commitment, c2: Commitment) -> Commitment:
     if c1.key_fp != c2.key_fp:
         raise KeyMismatch("commitments were made under different keys")
     return Commitment(g_mul(c1.c, c2.c), c1.key_fp)
-
-
-def _check_commitment_key(ck: CommitmentKey, c: Commitment) -> None:
-    if c.key_fp != key_fingerprint(ck):
-        raise KeyMismatch("commitment was made under a different key")

@@ -7,6 +7,7 @@ they belong to (xk = (ck, q), tk = (ck, x)); public key files never
 carry p, q, or any secret exponent.
 """
 
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -19,18 +20,20 @@ from .commitment import (
     Opening,
     TrapdoorKey,
     WIProof,
+    key_fields,
     key_fingerprint,
 )
-from .errors import MalformedText
+from .errors import DeserializeError, MalformedText
 from .forgery import CensusResult, ClaimReport, ForgeryRecord, Verdict
 from .groups import (
     CURVE,
     CurveContext,
+    GElement,
     GroupContext,
     TRANSPARENT,
     TransparentContext,
     element_from_text,
-    setup_transparent,
+    point_from_text,
 )
 
 PathLike = Union[str, Path]
@@ -63,6 +66,15 @@ def read_kv(path: PathLike) -> Dict[str, str]:
     return parse_kv(Path(path).read_text(encoding="ascii"), where=str(path))
 
 
+def _read(path: PathLike, kind: str) -> Tuple[Dict[str, str], str]:
+    where = str(path)
+    fields = read_kv(path)
+    got = _take(fields, "kind", where)
+    if got != kind:
+        raise MalformedText(f"{where}: expected kind={kind}, got kind={got}")
+    return fields, where
+
+
 def _take(fields: Dict[str, str], key: str, where: str) -> str:
     if key not in fields:
         raise MalformedText(f"{where}: missing field {key!r}")
@@ -75,6 +87,22 @@ def _take_int(fields: Dict[str, str], key: str, where: str) -> int:
         return int(raw, 10)
     except ValueError:
         raise MalformedText(f"{where}: field {key!r} is not a decimal integer") from None
+
+
+@contextmanager
+def _naming(where: str, key: str):
+    """Prefix a DeserializeError with the file and field it came from."""
+    try:
+        yield
+    except DeserializeError as exc:
+        raise type(exc)(f"{where}: field {key!r}: {exc}") from None
+
+
+def _take_element(fields: Dict[str, str], key: str, where: str,
+                  ctx: GroupContext) -> GElement:
+    text = _take(fields, key, where)
+    with _naming(where, key):
+        return element_from_text(text, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -101,101 +129,54 @@ def save_context(path: PathLike, ctx: GroupContext) -> None:
 def load_context(path: PathLike) -> GroupContext:
     where = str(path)
     fields = read_kv(path)
-    backend = _take(fields, "backend", where)
     p = _take_int(fields, "p", where)
     q = _take_int(fields, "q", where)
-    if backend == TRANSPARENT:
-        return setup_transparent(p, q)
-    if backend == CURVE:
-        fprime = _take_int(fields, "fprime", where)
-        cofactor = _take_int(fields, "cofactor", where)
-        g_point = _parse_curve_point(_take(fields, "g", where), fprime, where)
-        return CurveContext(p * q, fprime, cofactor, g_point, p, q)
-    raise MalformedText(f"{where}: unknown backend {backend!r}")
+    return _context_from_fields(fields, where, p * q, p, q)
 
 
-def _public_key_fields(ck: CommitmentKey) -> List[Tuple[str, str]]:
-    ctx = ck.context
-    fields = [("mode", ck.mode), ("backend", ctx.backend), ("n", str(ctx.n))]
-    if ctx.backend == CURVE:
-        fields += [("fprime", str(ctx.field_prime)), ("cofactor", str(ctx.cofactor))]
-    fields += [("g", ctx.g.to_text()), ("h", ck.h.to_text())]
-    return fields
-
-
-def _context_from_public(fields: Dict[str, str], where: str,
-                         p: Optional[int] = None, q: Optional[int] = None) -> GroupContext:
+def _context_from_fields(fields: Dict[str, str], where: str, n: int,
+                         p: Optional[int] = None,
+                         q: Optional[int] = None) -> GroupContext:
+    """The context a context file (n = p*q) or key file (n as written) describes."""
     backend = _take(fields, "backend", where)
-    n = _take_int(fields, "n", where)
     if backend == TRANSPARENT:
         return TransparentContext(n, p, q)
     if backend == CURVE:
         fprime = _take_int(fields, "fprime", where)
         cofactor = _take_int(fields, "cofactor", where)
-        g_point = _parse_curve_point(_take(fields, "g", where), fprime, where)
-        return CurveContext(n, fprime, cofactor, g_point, p, q)
+        g_text = _take(fields, "g", where)
+        with _naming(where, "g"):
+            return CurveContext(n, fprime, cofactor, point_from_text(g_text, fprime), p, q)
     raise MalformedText(f"{where}: unknown backend {backend!r}")
-
-
-def _parse_curve_point(text: str, fprime: int, where: str):
-    text = text.strip()
-    if not text.startswith("G:"):
-        raise MalformedText(f"{where}: expected G:... element, got {text!r}")
-    body = text[2:]
-    if body == "inf":
-        return None
-    parts = body.split(",")
-    if len(parts) != 2:
-        raise MalformedText(f"{where}: expected G:<x>,<y>, got {text!r}")
-    try:
-        x, y = int(parts[0], 10), int(parts[1], 10)
-    except ValueError:
-        raise MalformedText(f"{where}: non-decimal coordinate in {text!r}") from None
-    if not (0 <= x < fprime and 0 <= y < fprime):
-        raise MalformedText(f"{where}: coordinates out of field range in {text!r}")
-    return (x, y)
 
 
 # ---------------------------------------------------------------------------
 # keys
-
-def save_commitment_key(path: PathLike, ck: CommitmentKey) -> None:
-    write_kv(path, [("kind", "commitment-key")] + _public_key_fields(ck))
-
-
-def load_commitment_key(path: PathLike) -> CommitmentKey:
-    where = str(path)
-    fields = read_kv(path)
-    _expect_kind(fields, "commitment-key", where)
-    return _key_from_fields(fields, where)
-
-
-def _expect_kind(fields: Dict[str, str], kind: str, where: str) -> None:
-    got = _take(fields, "kind", where)
-    if got != kind:
-        raise MalformedText(f"{where}: expected kind={kind}, got kind={got}")
-
 
 def _key_from_fields(fields: Dict[str, str], where: str,
                      p: Optional[int] = None, q: Optional[int] = None) -> CommitmentKey:
     mode = _take(fields, "mode", where)
     if mode not in (BINDING, HIDING):
         raise MalformedText(f"{where}: unknown mode {mode!r}")
-    ctx = _context_from_public(fields, where, p, q)
-    h = element_from_text(_take(fields, "h", where), ctx)
-    return CommitmentKey(ctx, h, mode)
+    ctx = _context_from_fields(fields, where, _take_int(fields, "n", where), p, q)
+    return CommitmentKey(ctx, _take_element(fields, "h", where, ctx), mode)
+
+
+def save_commitment_key(path: PathLike, ck: CommitmentKey) -> None:
+    write_kv(path, [("kind", "commitment-key")] + key_fields(ck))
+
+
+def load_commitment_key(path: PathLike) -> CommitmentKey:
+    fields, where = _read(path, "commitment-key")
+    return _key_from_fields(fields, where)
 
 
 def save_extraction_key(path: PathLike, xk: ExtractionKey) -> None:
-    fields = [("kind", "extraction-key")] + _public_key_fields(xk.ck)
-    fields.append(("q", str(xk.q)))
-    write_kv(path, fields)
+    write_kv(path, [("kind", "extraction-key")] + key_fields(xk.ck) + [("q", str(xk.q))])
 
 
 def load_extraction_key(path: PathLike) -> ExtractionKey:
-    where = str(path)
-    fields = read_kv(path)
-    _expect_kind(fields, "extraction-key", where)
+    fields, where = _read(path, "extraction-key")
     n = _take_int(fields, "n", where)
     q = _take_int(fields, "q", where)
     if q <= 1 or n % q != 0:
@@ -203,71 +184,56 @@ def load_extraction_key(path: PathLike) -> ExtractionKey:
     p = n // q
     if p >= q:
         raise MalformedText(f"{where}: q={q} is not the larger prime factor")
-    ck = _key_from_fields(fields, where, p=p, q=q)
-    return ExtractionKey(ck, q)
+    return ExtractionKey(_key_from_fields(fields, where, p=p, q=q), q)
 
 
 def save_trapdoor_key(path: PathLike, tk: TrapdoorKey) -> None:
-    fields = [("kind", "trapdoor-key")] + _public_key_fields(tk.ck)
-    fields.append(("x", str(tk.x)))
-    write_kv(path, fields)
+    write_kv(path, [("kind", "trapdoor-key")] + key_fields(tk.ck) + [("x", str(tk.x))])
 
 
 def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
-    where = str(path)
-    fields = read_kv(path)
-    _expect_kind(fields, "trapdoor-key", where)
+    fields, where = _read(path, "trapdoor-key")
     x = _take_int(fields, "x", where)
-    ck = _key_from_fields(fields, where)
-    return TrapdoorKey(ck, x)
+    return TrapdoorKey(_key_from_fields(fields, where), x)
 
 
 # ---------------------------------------------------------------------------
-# protocol artifacts
+# protocol artifacts: a kind/n/key header, then the body
 
-def save_commitment(path: PathLike, com: Commitment, ck: CommitmentKey) -> None:
-    write_kv(path, [
-        ("kind", "commitment"),
-        ("n", str(ck.context.n)),
-        ("key", com.key_fp),
-        ("c", com.c.to_text()),
-    ])
+def _artifact(kind: str, ck: CommitmentKey, key_fp: str,
+              body: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
+    return [("kind", kind), ("n", str(ck.context.n)), ("key", key_fp)] + body
 
 
-def load_commitment(path: PathLike, ck: CommitmentKey) -> Commitment:
-    where = str(path)
-    fields = read_kv(path)
-    _expect_kind(fields, "commitment", where)
-    _check_key_fields(fields, ck, where)
-    c = element_from_text(_take(fields, "c", where), ck.context)
-    return Commitment(c, fields["key"])
-
-
-def save_proof(path: PathLike, proof: WIProof, ck: CommitmentKey) -> None:
-    write_kv(path, [
-        ("kind", "proof"),
-        ("n", str(ck.context.n)),
-        ("key", proof.key_fp),
-        ("pi", proof.pi.to_text()),
-    ])
-
-
-def load_proof(path: PathLike, ck: CommitmentKey) -> WIProof:
-    where = str(path)
-    fields = read_kv(path)
-    _expect_kind(fields, "proof", where)
-    _check_key_fields(fields, ck, where)
-    pi = element_from_text(_take(fields, "pi", where), ck.context)
-    return WIProof(pi, fields["key"])
-
-
-def _check_key_fields(fields: Dict[str, str], ck: CommitmentKey, where: str) -> None:
+def _read_artifact(path: PathLike, kind: str,
+                   ck: CommitmentKey) -> Tuple[Dict[str, str], str]:
+    """Fields of an artifact file whose header matches ck."""
+    fields, where = _read(path, kind)
     n = _take_int(fields, "n", where)
     if n != ck.context.n:
         raise MalformedText(f"{where}: group order {n} does not match the key's {ck.context.n}")
     tag = _take(fields, "key", where)
     if tag != key_fingerprint(ck):
         raise MalformedText(f"{where}: key fingerprint {tag} does not match the supplied key")
+    return fields, where
+
+
+def save_commitment(path: PathLike, com: Commitment, ck: CommitmentKey) -> None:
+    write_kv(path, _artifact("commitment", ck, com.key_fp, [("c", com.c.to_text())]))
+
+
+def load_commitment(path: PathLike, ck: CommitmentKey) -> Commitment:
+    fields, where = _read_artifact(path, "commitment", ck)
+    return Commitment(_take_element(fields, "c", where, ck.context), fields["key"])
+
+
+def save_proof(path: PathLike, proof: WIProof, ck: CommitmentKey) -> None:
+    write_kv(path, _artifact("proof", ck, proof.key_fp, [("pi", proof.pi.to_text())]))
+
+
+def load_proof(path: PathLike, ck: CommitmentKey) -> WIProof:
+    fields, where = _read_artifact(path, "proof", ck)
+    return WIProof(_take_element(fields, "pi", where, ck.context), fields["key"])
 
 
 def save_opening(path: PathLike, opening: Opening) -> None:
@@ -279,17 +245,12 @@ def save_opening(path: PathLike, opening: Opening) -> None:
 
 
 def load_opening(path: PathLike) -> Opening:
-    where = str(path)
-    fields = read_kv(path)
-    _expect_kind(fields, "opening", where)
+    fields, where = _read(path, "opening")
     return Opening(_take_int(fields, "m", where), _take_int(fields, "r", where))
 
 
 def save_forgery(path: PathLike, rec: ForgeryRecord, ck: CommitmentKey) -> None:
-    write_kv(path, [
-        ("kind", "forgery"),
-        ("n", str(ck.context.n)),
-        ("key", rec.c.key_fp),
+    write_kv(path, _artifact("forgery", ck, rec.c.key_fp, [
         ("k_a", str(rec.k_a)),
         ("ell", str(rec.ell)),
         ("alpha1", str(rec.alpha1)),
@@ -298,16 +259,13 @@ def save_forgery(path: PathLike, rec: ForgeryRecord, ck: CommitmentKey) -> None:
         ("beta2", str(rec.beta2)),
         ("c", rec.c.c.to_text()),
         ("pi", rec.pi.pi.to_text()),
-    ])
+    ]))
 
 
 def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
-    where = str(path)
-    fields = read_kv(path)
-    _expect_kind(fields, "forgery", where)
-    _check_key_fields(fields, ck, where)
-    c = element_from_text(_take(fields, "c", where), ck.context)
-    pi = element_from_text(_take(fields, "pi", where), ck.context)
+    fields, where = _read_artifact(path, "forgery", ck)
+    c = _take_element(fields, "c", where, ck.context)
+    pi = _take_element(fields, "pi", where, ck.context)
     tag = fields["key"]
     return ForgeryRecord(
         k_a=_take_int(fields, "k_a", where),

@@ -32,6 +32,7 @@ from .commitment import (
     Commitment,
     CommitmentKey,
     WIProof,
+    check_key,
     key_fingerprint,
     verify,
 )
@@ -167,8 +168,7 @@ def audit(q: int, ck: CommitmentKey, c: Commitment) -> Verdict:
     c in G_q means c = h^w for some w, a commitment to 0; c/g in G_q
     means a commitment to 1; neither means no bit opening exists.
     """
-    if c.key_fp != key_fingerprint(ck):
-        raise KeyMismatch("commitment was made under a different key")
+    check_key(ck, c)
     in_gq = is_in_subgroup_q(c.c, q)
     shifted_in_gq = is_in_subgroup_q(g_mul(c.c, g_inv(ck.context.g)), q)
     if in_gq:

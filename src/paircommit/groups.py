@@ -325,18 +325,10 @@ class CurveContext(GroupContext):
         return f"G:{a[0]},{a[1]}"
 
     def _el_from_text(self, text: str):
-        body = _strip_prefix(text, "G:")
-        if body == "inf":
-            return None
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise MalformedText(f"expected G:<x>,<y> or G:inf, got {text!r}")
-        x = _parse_int(parts[0], text)
-        y = _parse_int(parts[1], text)
         fp = self.field_prime
-        if not (0 <= x < fp and 0 <= y < fp):
-            raise MalformedText(f"coordinates out of field range in {text!r}")
-        pt = (x, y)
+        pt = point_from_text(text, fp)
+        if pt is None:
+            return None
         if not curve.is_on_curve(fp, pt):
             raise OffCurvePoint(f"point {text!r} is not on the curve")
         if curve.ec_mul(fp, pt, self.n) is not None:
@@ -366,6 +358,25 @@ class CurveContext(GroupContext):
         return val
 
 
+def point_from_text(text: str, field_prime: int) -> Optional[curve.Point]:
+    """Parse G:<x>,<y> or G:inf with both coordinates in [0, field_prime).
+
+    Syntax and range only; curve membership and order are the caller's
+    checks (the element parser and the context constructor make them).
+    """
+    body = _strip_prefix(text.strip(), "G:")
+    if body == "inf":
+        return None
+    parts = body.split(",")
+    if len(parts) != 2:
+        raise MalformedText(f"expected G:<x>,<y> or G:inf, got {text!r}")
+    x = _parse_int(parts[0], text)
+    y = _parse_int(parts[1], text)
+    if not (0 <= x < field_prime and 0 <= y < field_prime):
+        raise MalformedText(f"coordinates out of field range in {text!r}")
+    return (x, y)
+
+
 def _strip_prefix(text: str, prefix: str) -> str:
     if not text.startswith(prefix):
         raise MalformedText(f"expected {prefix}... , got {text!r}")
@@ -383,8 +394,7 @@ def _parse_int(part: str, whole: str) -> int:
 # construction
 
 def setup_transparent(p: int, q: int) -> TransparentContext:
-    """Transparent group of order p*q. Validates primality and p < q."""
-    _check_prime_pair(p, q)
+    """Transparent group of order p*q; the context validates primality and p < q."""
     return TransparentContext(p * q, p, q)
 
 
@@ -396,7 +406,7 @@ def setup_curve(p: int, q: int, rng: random.Random,
     fp = 3 (mod 4), then samples a generator by clearing the cofactor
     off random curve points until the order is exactly n.
     """
-    _check_prime_pair(p, q, rng=rng)
+    _check_prime_pair(p, q, rng)
     n = p * q
     if n % 2 == 0:
         raise ValueError("curve backend needs p*q odd")
@@ -413,7 +423,9 @@ def setup_curve(p: int, q: int, rng: random.Random,
     return ctx
 
 
-def _check_prime_pair(p: int, q: int, rng: Optional[random.Random] = None) -> None:
+def _check_prime_pair(p: int, q: int, rng: random.Random) -> None:
+    # the context re-checks without an rng; these rng draws are part of the
+    # seeded output
     if not is_probable_prime(p, rng=rng):
         raise ValueError(f"p={p} is not prime")
     if not is_probable_prime(q, rng=rng):
@@ -484,16 +496,8 @@ def is_in_subgroup_q(a: GElement, q: int) -> bool:
     return g_pow(a, q).is_identity()
 
 
-def element_to_text(a: GElement) -> str:
-    return a.to_text()
-
-
 def element_from_text(text: str, ctx: GroupContext) -> GElement:
     return GElement(ctx, ctx._el_from_text(text.strip()))
-
-
-def gt_element_to_text(a: GTElement) -> str:
-    return a.to_text()
 
 
 def gt_element_from_text(text: str, ctx: GroupContext) -> GTElement:

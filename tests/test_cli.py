@@ -1,8 +1,11 @@
 """CLI workflows: pipelines, exit codes, seed determinism."""
 
+import hashlib
+
 import pytest
 
 from paircommit.cli import main
+from paircommit.groups import CURVE, TRANSPARENT
 
 
 def run(capsys, *argv):
@@ -23,6 +26,236 @@ def _make_params(capsys, workdir, backend="transparent", seed=1):
                        "--out", str(ctx))
     assert code == 0
     return ctx, out
+
+
+def _pipeline_transcript(capsys, home, backend, bits):
+    """Run a seeded session in `home`; return every call's exit code, stdout
+    and stderr, then every file written, as one text."""
+    script = [
+        ("params", "--bits-p", bits[0], "--bits-q", bits[1], "--backend", backend,
+         "--seed", "11", "--out", "ctx.txt"),
+        ("keygen", "--mode", "binding", "--context", "ctx.txt",
+         "--out-ck", "ck.txt", "--out-secret", "xk.txt", "--seed", "12"),
+        ("keygen", "--mode", "binding", "--context", "ctx.txt",
+         "--out-ck", "ck2.txt", "--out-secret", "xk2.txt", "--seed", "13"),
+        ("keygen", "--mode", "hiding", "--context", "ctx.txt",
+         "--out-ck", "hck.txt", "--out-secret", "tk.txt", "--seed", "14"),
+        ("commit", "--ck", "ck.txt", "--m", "1", "--seed", "15",
+         "--out", "c.txt", "--out-opening", "op.txt"),
+        ("prove", "--ck", "ck.txt", "--opening", "op.txt", "--out", "pi.txt"),
+        ("verify", "--ck", "ck.txt", "--commitment", "c.txt", "--proof", "pi.txt"),
+        ("commit", "--ck", "ck.txt", "--m", "0", "--seed", "16", "--out", "c0.txt"),
+        ("verify", "--ck", "ck.txt", "--commitment", "c0.txt", "--proof", "pi.txt"),
+        ("extract", "--secret", "xk.txt", "--commitment", "c.txt"),
+        ("commit", "--ck", "hck.txt", "--m", "0", "--seed", "17",
+         "--out", "hc.txt", "--out-opening", "hop.txt"),
+        ("open", "--secret", "tk.txt", "--commitment", "hc.txt", "--opening", "hop.txt",
+         "--m-new", "1", "--out", "hop1.txt"),
+        ("forge", "--ck", "ck.txt", "--secret", "xk.txt", "--seed", "18",
+         "--out", "forgery.txt"),
+        ("audit", "--secret", "xk.txt", "--ck", "ck.txt", "--commitment", "c.txt"),
+        ("census", "--ck", "ck.txt", "--secret", "xk.txt", "--out", "census.txt"),
+        ("forge", "--ck", "ck.txt", "--secret", "xk2.txt", "--seed", "18",
+         "--out", "forgery2.txt"),
+    ]
+    parts = []
+    for argv in script:
+        code, out, err = run(capsys, *(str(home / a) if a.endswith(".txt") else a
+                                       for a in argv))
+        parts.append(f"$ {' '.join(argv)}\nexit={code}\n{out}{err}")
+    for path in sorted(home.iterdir()):
+        parts.append(f"== {path.name}\n{path.read_text()}")
+    return "".join(parts)
+
+
+# recorded from the seeded session above; key= lines are the key fingerprints
+PIPELINE_TRANSPARENT = """\
+$ params --bits-p 2 --bits-q 3 --backend transparent --seed 11 --out ctx.txt
+exit=0
+backend=transparent
+p=3
+q=7
+n=21
+$ keygen --mode binding --context ctx.txt --out-ck ck.txt --out-secret xk.txt --seed 12
+exit=0
+mode=binding
+key=5997a33fdc1f963e
+$ keygen --mode binding --context ctx.txt --out-ck ck2.txt --out-secret xk2.txt --seed 13
+exit=0
+mode=binding
+key=13413248fbe223fd
+$ keygen --mode hiding --context ctx.txt --out-ck hck.txt --out-secret tk.txt --seed 14
+exit=0
+mode=hiding
+key=684d2700e2f2d84f
+$ commit --ck ck.txt --m 1 --seed 15 --out c.txt --out-opening op.txt
+exit=0
+c=G:10
+$ prove --ck ck.txt --opening op.txt --out pi.txt
+exit=0
+pi=G:18
+$ verify --ck ck.txt --commitment c.txt --proof pi.txt
+exit=0
+accept
+$ commit --ck ck.txt --m 0 --seed 16 --out c0.txt
+exit=0
+c=G:6
+$ verify --ck ck.txt --commitment c0.txt --proof pi.txt
+exit=1
+reject
+$ extract --secret xk.txt --commitment c.txt
+exit=0
+m=1
+$ commit --ck hck.txt --m 0 --seed 17 --out hc.txt --out-opening hop.txt
+exit=0
+c=G:16
+$ open --secret tk.txt --commitment hc.txt --opening hop.txt --m-new 1 --out hop1.txt
+exit=0
+m=1
+r=15
+$ forge --ck ck.txt --secret xk.txt --seed 18 --out forgery.txt
+exit=0
+verification_passes=true
+alpha1_is_bit=false
+g_alpha1_in_gq=false
+audit_verdict=CommitsTo1
+c_in_gq=false
+c_over_g_in_gq=true
+$ audit --secret xk.txt --ck ck.txt --commitment c.txt
+exit=0
+verdict=CommitsTo1
+c_in_gq=false
+c_over_g_in_gq=true
+c_pow_q=G:7
+c_over_g_pow_q=G:0
+$ census --ck ck.txt --secret xk.txt --out census.txt
+exit=0
+$ forge --ck ck.txt --secret xk2.txt --seed 18 --out forgery2.txt
+exit=2
+error: secret file does not belong to the public key
+== c.txt
+kind=commitment
+n=21
+key=5997a33fdc1f963e
+c=G:10
+== c0.txt
+kind=commitment
+n=21
+key=5997a33fdc1f963e
+c=G:6
+== census.txt
+n=21
+c=0 accepting_pi_count=3 verdict=CommitsTo0
+c=1 accepting_pi_count=3 verdict=CommitsTo1
+c=2 accepting_pi_count=0 verdict=Invalid
+c=3 accepting_pi_count=3 verdict=CommitsTo0
+c=4 accepting_pi_count=3 verdict=CommitsTo1
+c=5 accepting_pi_count=0 verdict=Invalid
+c=6 accepting_pi_count=3 verdict=CommitsTo0
+c=7 accepting_pi_count=3 verdict=CommitsTo1
+c=8 accepting_pi_count=0 verdict=Invalid
+c=9 accepting_pi_count=3 verdict=CommitsTo0
+c=10 accepting_pi_count=3 verdict=CommitsTo1
+c=11 accepting_pi_count=0 verdict=Invalid
+c=12 accepting_pi_count=3 verdict=CommitsTo0
+c=13 accepting_pi_count=3 verdict=CommitsTo1
+c=14 accepting_pi_count=0 verdict=Invalid
+c=15 accepting_pi_count=3 verdict=CommitsTo0
+c=16 accepting_pi_count=3 verdict=CommitsTo1
+c=17 accepting_pi_count=0 verdict=Invalid
+c=18 accepting_pi_count=3 verdict=CommitsTo0
+c=19 accepting_pi_count=3 verdict=CommitsTo1
+c=20 accepting_pi_count=0 verdict=Invalid
+accepting_pairs=42
+accepting_c_CommitsTo0=7
+accepting_c_CommitsTo1=7
+accepting_c_Invalid=0
+== ck.txt
+kind=commitment-key
+mode=binding
+backend=transparent
+n=21
+g=G:1
+h=G:12
+== ck2.txt
+kind=commitment-key
+mode=binding
+backend=transparent
+n=21
+g=G:1
+h=G:9
+== ctx.txt
+backend=transparent
+p=3
+q=7
+== forgery.txt
+kind=forgery
+n=21
+key=5997a33fdc1f963e
+k_a=1
+ell=2
+alpha1=7
+alpha2=15
+beta1=6
+beta2=15
+c=G:19
+pi=G:18
+== hc.txt
+kind=commitment
+n=21
+key=684d2700e2f2d84f
+c=G:16
+== hck.txt
+kind=commitment-key
+mode=hiding
+backend=transparent
+n=21
+g=G:1
+h=G:1
+== hop.txt
+kind=opening
+m=0
+r=16
+== hop1.txt
+kind=opening
+m=1
+r=15
+== op.txt
+kind=opening
+m=1
+r=6
+== pi.txt
+kind=proof
+n=21
+key=5997a33fdc1f963e
+pi=G:18
+== tk.txt
+kind=trapdoor-key
+mode=hiding
+backend=transparent
+n=21
+g=G:1
+h=G:1
+x=1
+== xk.txt
+kind=extraction-key
+mode=binding
+backend=transparent
+n=21
+g=G:1
+h=G:12
+q=7
+== xk2.txt
+kind=extraction-key
+mode=binding
+backend=transparent
+n=21
+g=G:1
+h=G:9
+q=7
+"""
+
+PIPELINE_CURVE_SHA256 = "5b84bd1523851aeda30a94caf016fa74623f4663d3f923f6d47eaa44dcb658ee"
 
 
 class TestParams:
@@ -51,24 +284,16 @@ class TestParams:
         assert a.read_bytes() == b.read_bytes()
 
     def test_full_pipeline_byte_determinism(self, capsys, workdir):
-        """Same seeds, same bytes, for every file the pipeline writes."""
-        def session(tag):
-            files = {name: workdir / f"{tag}-{name}" for name in
-                     ("ctx", "ck", "xk", "c", "op", "pi", "forgery")}
-            run(capsys, "params", "--bits-p", "8", "--bits-q", "8",
-                "--backend", "curve", "--seed", "11", "--out", str(files["ctx"]))
-            run(capsys, "keygen", "--mode", "binding", "--context", str(files["ctx"]),
-                "--out-ck", str(files["ck"]), "--out-secret", str(files["xk"]),
-                "--seed", "12")
-            run(capsys, "commit", "--ck", str(files["ck"]), "--m", "1", "--seed", "13",
-                "--out", str(files["c"]), "--out-opening", str(files["op"]))
-            run(capsys, "prove", "--ck", str(files["ck"]), "--opening", str(files["op"]),
-                "--out", str(files["pi"]))
-            run(capsys, "forge", "--ck", str(files["ck"]), "--secret", str(files["xk"]),
-                "--seed", "14", "--out", str(files["forgery"]))
-            return {name: path.read_bytes() for name, path in files.items()}
-
-        assert session("one") == session("two")
+        """Seeded sessions reproduce the recorded exit codes, output and files."""
+        for backend, bits, want in ((TRANSPARENT, ("2", "3"), PIPELINE_TRANSPARENT),
+                                    (CURVE, ("8", "8"), PIPELINE_CURVE_SHA256)):
+            home = workdir / backend
+            home.mkdir()
+            got = _pipeline_transcript(capsys, home, backend, bits)
+            if backend == "transparent":
+                assert got == want
+            else:
+                assert hashlib.sha256(got.encode()).hexdigest() == want
 
 
 class TestHonestPipeline:
@@ -132,6 +357,34 @@ class TestHonestPipeline:
         code, _, err = run(capsys, "verify", "--ck", str(ck),
                            "--commitment", str(c), "--proof", str(pi))
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("name, field, bad", [
+        ("ctx.txt", "g", "G:1,x"),
+        ("ck.txt", "g", "G:1,1"),
+        ("c.txt", "c", "G:12,x"),
+        ("pi.txt", "pi", "pi"),
+    ])
+    def test_malformed_element_is_exit_2(self, capsys, workdir, name, field, bad):
+        ctx, _ = _make_params(capsys, workdir, backend=CURVE)
+        ck, xk = workdir / "ck.txt", workdir / "xk.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        c, opening, pi = workdir / "c.txt", workdir / "op.txt", workdir / "pi.txt"
+        run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2",
+            "--out", str(c), "--out-opening", str(opening))
+        run(capsys, "prove", "--ck", str(ck), "--opening", str(opening), "--out", str(pi))
+        bad_path = workdir / name
+        bad_path.write_text("".join(f"{field}={bad}\n" if line.startswith(f"{field}=")
+                                    else f"{line}\n"
+                                    for line in bad_path.read_text().splitlines()))
+        if name == "ctx.txt":
+            argv = ("keygen", "--mode", "binding", "--context", str(ctx),
+                    "--out-ck", str(workdir / "ck2.txt"), "--out-secret", str(xk))
+        else:
+            argv = ("verify", "--ck", str(ck), "--commitment", str(c), "--proof", str(pi))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad_path}: field '{field}':")
 
     def test_trapdoor_open_pipeline(self, capsys, workdir):
         ctx, _ = _make_params(capsys, workdir)

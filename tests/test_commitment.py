@@ -1,9 +1,13 @@
 """Commitment scheme: worked traces, completeness, extraction, trapdoor, binding."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from paircommit import (
     BINDING,
+    CommitmentKey,
     HIDING,
     KeyMismatch,
     NotExtractable,
@@ -20,6 +24,7 @@ from paircommit import (
     hiding_keygen,
     homomorphic_combine,
     is_in_subgroup_q,
+    key_fingerprint,
     pair,
     setup_transparent,
     trapdoor_open,
@@ -78,6 +83,29 @@ class TestKeygen:
         public = TransparentContext(35)
         with pytest.raises(ValueError):
             binding_keygen(public, rng)
+
+
+class TestFingerprint:
+    def test_worked_example(self, binding35):
+        ck, _ = binding35
+        want = hashlib.sha256(b"binding|transparent|35|G:1|G:15").hexdigest()[:16]
+        assert key_fingerprint(ck) == want
+
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_equal_keys_built_apart(self, backend, t35, c35):
+        ctx = t35 if backend == "transparent" else c35
+        a, _ = binding_key_from_exponent(ctx, 3)
+        b, _ = binding_key_from_exponent(ctx, 3)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert key_fingerprint(a) == key_fingerprint(b)
+
+    def test_replace_recomputes_digest(self, binding35, t35):
+        ck, _ = binding35
+        other = dataclasses.replace(ck, h=t35.g ** 10)
+        assert other != ck
+        assert key_fingerprint(other) != key_fingerprint(ck)
+        assert key_fingerprint(other) == key_fingerprint(CommitmentKey(t35, t35.g ** 10, BINDING))
 
 
 class TestCommit:

@@ -4,6 +4,7 @@ import pytest
 
 from paircommit import (
     MalformedText,
+    OffCurvePoint,
     Opening,
     binding_key_from_exponent,
     binding_keygen,
@@ -155,3 +156,56 @@ class TestArtifactFiles:
         assert "c=0 accepting_pi_count=3 verdict=CommitsTo0" in lines
         assert "c=2 accepting_pi_count=0 verdict=Invalid" in lines
         assert "accepting_pairs=30" in lines
+
+
+def _replace_field(path, field, value):
+    lines = path.read_text().splitlines()
+    assert any(line.startswith(f"{field}=") for line in lines)
+    path.write_text("".join(f"{field}={value}\n" if line.startswith(f"{field}=")
+                            else f"{line}\n" for line in lines))
+
+
+class TestMalformedFields:
+    """A bad element in any file names the file and the field."""
+
+    @pytest.mark.parametrize("kind, field, bad, error", [
+        ("context", "g", "G:1,x", MalformedText),
+        ("context", "g", "G:1,1", OffCurvePoint),
+        ("key", "g", "G:12", MalformedText),
+        ("key", "h", "G:1,1", OffCurvePoint),
+        ("commitment", "c", "G:12,x", MalformedText),
+        ("commitment", "c", "G:1,1", OffCurvePoint),
+        ("proof", "pi", "H:1", MalformedText),
+        ("forgery", "c", "G:139,0", MalformedText),
+    ])
+    def test_curve(self, tmp_path, c35, kind, field, bad, error):
+        ck, _ = binding_key_from_exponent(c35, 3)
+        path = tmp_path / f"{kind}.txt"
+        save, load = {
+            "context": (lambda: fileio.save_context(path, c35), fileio.load_context),
+            "key": (lambda: fileio.save_commitment_key(path, ck), fileio.load_commitment_key),
+            "commitment": (lambda: fileio.save_commitment(path, commit(ck, 1, 2), ck),
+                           lambda p: fileio.load_commitment(p, ck)),
+            "proof": (lambda: fileio.save_proof(path, wi_prove(ck, 1, 2), ck),
+                      lambda p: fileio.load_proof(p, ck)),
+            "forgery": (lambda: fileio.save_forgery(path, forge(ck, 5, 7, beta1=2), ck),
+                        lambda p: fileio.load_forgery(p, ck)),
+        }[kind]
+        save()
+        _replace_field(path, field, bad)
+        with pytest.raises(error) as info:
+            load(path)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{path}: field '{field}':")
+
+    @pytest.mark.parametrize("field, bad", [("c", "G:35"), ("c", "G:-1"), ("h", "G:x")])
+    def test_transparent(self, tmp_path, t35, field, bad):
+        ck, _ = binding_key_from_exponent(t35, 3)
+        ck_path, c_path = tmp_path / "ck.txt", tmp_path / "c.txt"
+        fileio.save_commitment_key(ck_path, ck)
+        fileio.save_commitment(c_path, commit(ck, 1, 2), ck)
+        path = c_path if field == "c" else ck_path
+        _replace_field(path, field, bad)
+        with pytest.raises(MalformedText) as info:
+            fileio.load_commitment(c_path, fileio.load_commitment_key(ck_path))
+        assert str(info.value).startswith(f"{path}: field '{field}':")
