@@ -49,6 +49,7 @@ from .errors import (
     NotInvertible,
     OffCurvePoint,
     PairCommitError,
+    SecretKeyMismatch,
     WrongOrderElement,
 )
 from .forgery import (

@@ -72,7 +72,8 @@ def mod_exp(base: int, exp: int, modulus: int) -> int:
 def is_probable_prime(n: int, rng: Optional[random.Random] = None, rounds: int = 40) -> bool:
     """Miller-Rabin primality test.
 
-    Always runs the fixed witness set (deterministic below ~2^81); adds
+    Below 47^2 trial division by the small primes decides. Otherwise
+    runs the fixed witness set (deterministic below ~2^81) and adds
     `rounds` random witnesses when an rng is supplied.
     """
     if n < 2:
@@ -82,6 +83,13 @@ def is_probable_prime(n: int, rng: Optional[random.Random] = None, rounds: int =
             return True
         if n % p == 0:
             return False
+    if n < _SMALL_PRIMES[-1] ** 2:
+        # no factor up to 47 and below 47^2: prime. The random witnesses
+        # are still drawn, because the draws fix seeded output.
+        if rng is not None:
+            for _ in range(rounds):
+                rng.randrange(2, n - 1)
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

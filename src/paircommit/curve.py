@@ -6,12 +6,16 @@ For such fp the curve is supersingular with #E(F_fp) = fp + 1, and
 
 The distortion map (x, y) -> (-x, i*y) sends E(F_fp) into a linearly
 independent subgroup over F_fp2, which makes the modified Tate pairing
-e(P, Q) = f_{n,P}(distort(Q))^((fp^2-1)/n) symmetric and non-degenerate
+e(P, Q) = f_{n,P}(-x_Q, i*y_Q)^((fp^2-1)/n) symmetric and non-degenerate
 on the order-n subgroup.
 
 Points are affine (x, y) tuples of ints, with None for the point at
-infinity. F_fp2 elements are (a, b) tuples meaning a + b*i. The Miller
-loop is the plain affine double-and-add, denominators kept.
+infinity. F_fp2 elements are (a, b) tuples meaning a + b*i. `ec_add`
+is affine chord-and-tangent; `ec_mul` and the Miller loop work in
+Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, and
+pay one inversion each at the end. The Miller loop keeps no
+denominators: vertical lines and the F_fp factors of each line value
+lie in F_fp*, which the final exponent (fp - 1)*cofactor sends to 1.
 """
 
 import random
@@ -92,18 +96,51 @@ def ec_add(fp: int, a: Point, b: Point) -> Point:
     return (x3, y3)
 
 
+def _jac_double(fp: int, x: int, y: int, z: int) -> Tuple[int, ...]:
+    # 2T for T = (x : y : z); also M = 3x^2 + z^4, y^2 and z^2, from which
+    # the Miller loop builds the tangent at T. z = 0 (infinity) stays 0.
+    yy = y * y % fp
+    zz = z * z % fp
+    s = 4 * x * yy % fp
+    m = (3 * x * x + zz * zz) % fp
+    x3 = (m * m - 2 * s) % fp
+    return x3, (m * (s - x3) - 8 * yy * yy) % fp, 2 * y * z % fp, m, yy, zz
+
+
+def _jac_add(fp: int, x: int, y: int, z: int, px: int, py: int) -> Tuple[int, ...]:
+    # T + P for Jacobian T != infinity and affine P; also r = py*z^3 - y,
+    # the chord's slope times z3. z3 = 0 means T = -P, or T = P if r = 0 too.
+    zz = z * z % fp
+    h = (px * zz - x) % fp
+    r = (py * zz * z - y) % fp
+    hh = h * h % fp
+    hhh = h * hh % fp
+    v = x * hh % fp
+    x3 = (r * r - hhh - 2 * v) % fp
+    return x3, (r * (v - x3) - y * hhh) % fp, z * h % fp, r
+
+
 def ec_mul(fp: int, pt: Point, k: int) -> Point:
     if k < 0:
         pt = ec_neg(fp, pt)
         k = -k
-    result: Point = None
-    addend = pt
-    while k:
-        if k & 1:
-            result = ec_add(fp, result, addend)
-        addend = ec_add(fp, addend, addend)
-        k >>= 1
-    return result
+    if pt is None or k == 0:
+        return None
+    px, py = pt
+    x, y, z = px, py, 1
+    for bit in bin(k)[3:]:
+        x, y, z = _jac_double(fp, x, y, z)[:3]
+        if bit == "1":
+            if z == 0:
+                x, y, z = px, py, 1
+                continue
+            x3, y3, z3, r = _jac_add(fp, x, y, z, px, py)
+            x, y, z = (x3, y3, z3) if z3 or r else _jac_double(fp, x, y, z)[:3]
+    if z == 0:
+        return None
+    zinv = pow(z, -1, fp)
+    zinv2 = zinv * zinv % fp
+    return (x * zinv2 % fp, y * zinv2 * zinv % fp)
 
 
 def sqrt_mod(fp: int, a: int) -> Optional[int]:
@@ -148,68 +185,54 @@ def find_curve_field(n: int, bound: int = 2 ** 20,
 # ---------------------------------------------------------------------------
 # modified Tate pairing
 
-def distort(fp: int, pt: Point) -> Optional[Tuple[Fp2, Fp2]]:
-    """(x, y) -> (-x, i*y), raising the point into E(F_fp2)."""
-    if pt is None:
-        return None
-    x, y = pt
-    return ((-x % fp, 0), (0, y))
-
-
-def _vert(fp: int, a: Point, s: Tuple[Fp2, Fp2]) -> Fp2:
-    # vertical line through a, evaluated at s; through infinity it is 1
-    if a is None:
-        return F2_ONE
-    sx = s[0]
-    return ((sx[0] - a[0]) % fp, sx[1])
-
-
-def _line(fp: int, a: Point, b: Point, s: Tuple[Fp2, Fp2]) -> Fp2:
-    # chord through a and b (tangent if equal), evaluated at s
-    if a is None:
-        return _vert(fp, b, s)
-    if b is None:
-        return _vert(fp, a, s)
-    x1, y1 = a
-    x2, y2 = b
-    if x1 == x2 and (y1 + y2) % fp == 0:
-        return _vert(fp, a, s)
-    if a == b:
-        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, fp) % fp
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, fp) % fp
-    sx, sy = s
-    return ((lam * (sx[0] - x1) - (sy[0] - y1)) % fp,
-            (lam * sx[1] - sy[1]) % fp)
+def _tangent(fp: int, x: int, y: int, z: int, qx: int, qy: int) -> Tuple[int, ...]:
+    # 2T, then the tangent at T evaluated at (-qx, i*qy) times 2*y*z^3
+    x3, y3, z3, m, yy, zz = _jac_double(fp, x, y, z)
+    return x3, y3, z3, (m * (qx * zz + x) - 2 * yy) % fp, qy * z3 * zz % fp
 
 
 def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point) -> Fp2:
     """Reduced modified Tate pairing of two points of order dividing n.
 
-    Miller loop of length n on (p_pt, distort(q_pt)), then final
-    exponentiation to (fp^2 - 1)/n. Result lies in the order-n subgroup
-    of F_fp2^*; the identity is (1, 0).
+    Miller loop of length n over P = p_pt in Jacobian coordinates, each
+    tangent and chord evaluated at the distorted Q, (-x_Q, i*y_Q), times
+    an F_fp factor, e.g. the tangent at T as
+    (M*(x_Q*Z^2 + X) - 2*Y^2) + i*(2*y_Q*Y*Z^3); vertical lines are left
+    out. The final exponent (fp^2 - 1)/n = (fp - 1)*cofactor kills all
+    of F_fp*; since Frobenius is conjugation, f^(fp-1) = conj(f)/f and
+    only the cofactor power is left. The result lies in the order-n
+    subgroup of F_fp2^*; the identity is (1, 0). Raises DegeneratePairing
+    if a line vanishes at the distorted point, which needs y_Q = 0.
     """
     if p_pt is None or q_pt is None:
         return F2_ONE
-    s = distort(fp, q_pt)
-    assert s is not None
-    num = F2_ONE
-    den = F2_ONE
-    r = p_pt
+    px, py = p_pt
+    qx, qy = q_pt
+    a, b = 1, 0
+    x, y, z = px, py, 1
     for bit in bin(n)[3:]:
-        lv = _line(fp, r, r, s)
-        r = ec_add(fp, r, r)
-        vv = _vert(fp, r, s)
-        num = f2_mul(fp, f2_mul(fp, num, num), lv)
-        den = f2_mul(fp, f2_mul(fp, den, den), vv)
-        if bit == "1":
-            lv = _line(fp, r, p_pt, s)
-            r = ec_add(fp, r, p_pt)
-            vv = _vert(fp, r, s)
-            num = f2_mul(fp, num, lv)
-            den = f2_mul(fp, den, vv)
-    if num == F2_ZERO or den == F2_ZERO:
+        a, b = (a - b) * (a + b) % fp, 2 * a * b % fp
+        if z:
+            x, y, z, lr, li = _tangent(fp, x, y, z, qx, qy)
+            a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
+        if bit == "0":
+            continue
+        if z == 0:
+            x, y, z = px, py, 1
+            continue
+        # the chord times z3 is r*(x_Q + x_P) - y_P*z3 + i*y_Q*z3; at
+        # T = -P it is a vertical line, dropped, and T = P needs the tangent
+        x3, y3, z3, r = _jac_add(fp, x, y, z, px, py)
+        if z3:
+            x, y, z = x3, y3, z3
+            lr, li = (r * (qx + px) - py * z3) % fp, qy * z3 % fp
+        elif r == 0:
+            x, y, z, lr, li = _tangent(fp, x, y, z, qx, qy)
+        else:
+            z = 0
+            continue
+        a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
+    if a == 0 and b == 0:
         raise DegeneratePairing("line evaluation hit the distorted point")
-    f = f2_mul(fp, num, f2_inv(fp, den))
-    return f2_pow(fp, f, (fp * fp - 1) // n)
+    f = f2_mul(fp, (a, -b % fp), f2_inv(fp, (a, b)))
+    return f2_pow(fp, f, (fp + 1) // n)

@@ -52,6 +52,10 @@ class WrongOrderElement(DeserializeError):
     """A deserialized element is not in the expected order-n subgroup."""
 
 
+class SecretKeyMismatch(DeserializeError):
+    """A secret key file's secret does not belong to the public key in it."""
+
+
 class DegeneratePairing(PairCommitError):
     """A Miller-loop line evaluation hit the paired point exactly.
 

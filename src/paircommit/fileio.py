@@ -8,6 +8,7 @@ carry p, q, or any secret exponent.
 """
 
 from contextlib import contextmanager
+from math import gcd
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -23,7 +24,7 @@ from .commitment import (
     key_fields,
     key_fingerprint,
 )
-from .errors import DeserializeError, MalformedText
+from .errors import DeserializeError, MalformedText, SecretKeyMismatch
 from .forgery import CensusResult, ClaimReport, ForgeryRecord, Verdict
 from .groups import (
     CURVE,
@@ -194,7 +195,13 @@ def save_trapdoor_key(path: PathLike, tk: TrapdoorKey) -> None:
 def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
     fields, where = _read(path, "trapdoor-key")
     x = _take_int(fields, "x", where)
-    return TrapdoorKey(_key_from_fields(fields, where), x)
+    ck = _key_from_fields(fields, where)
+    with _naming(where, "x"):
+        if gcd(x, ck.context.n) != 1:
+            raise SecretKeyMismatch(f"x={x} shares a factor with n={ck.context.n}")
+        if ck.context.g ** x != ck.h:
+            raise SecretKeyMismatch(f"g^{x} is not the key's h")
+    return TrapdoorKey(ck, x)
 
 
 # ---------------------------------------------------------------------------

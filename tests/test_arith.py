@@ -1,5 +1,6 @@
 """Integer primitive tests: worked values plus property checks."""
 
+import math
 import random
 
 import pytest
@@ -103,3 +104,19 @@ class TestGenPrime:
         for n in range(2, 2000):
             by_trial = all(n % d for d in range(2, int(n ** 0.5) + 1))
             assert is_probable_prime(n, rng=rng, rounds=5) == by_trial
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_agrees_with_trial_division_below_20000(self, seeded):
+        rng = random.Random(5) if seeded else None
+        for n in range(20000):
+            by_trial = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert is_probable_prime(n, rng=rng) == by_trial, n
+
+    def test_small_prime_still_draws_its_witnesses(self):
+        """Below 47^2 the answer needs no witness, but the rng must move as
+        if `rounds` witnesses were drawn: the draws fix seeded output."""
+        rng, expected = random.Random(9), random.Random(9)
+        assert is_probable_prime(2203, rng=rng, rounds=7)
+        for _ in range(7):
+            expected.randrange(2, 2202)
+        assert rng.getstate() == expected.getstate()

@@ -409,6 +409,27 @@ class TestHonestPipeline:
         assert (workdir / "c.txt").read_text().splitlines()[-1] == \
                c2.read_text().splitlines()[-1]
 
+    @pytest.mark.parametrize("backend", [TRANSPARENT, CURVE])
+    def test_trapdoor_key_with_wrong_x_is_exit_2(self, capsys, workdir, backend):
+        ctx, _ = _make_params(capsys, workdir, backend=backend)
+        ck, tk = workdir / "ck.txt", workdir / "tk.txt"
+        run(capsys, "keygen", "--mode", "hiding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(tk), "--seed", "2")
+        c, opening = workdir / "c.txt", workdir / "op.txt"
+        run(capsys, "commit", "--ck", str(ck), "--m", "0", "--r", "4",
+            "--out", str(c), "--out-opening", str(opening))
+        lines = tk.read_text().splitlines()
+        x = next(int(line[2:]) for line in lines if line.startswith("x="))
+        tk.write_text("".join(f"x={x + 1}\n" if line.startswith("x=") else f"{line}\n"
+                              for line in lines))
+        new_opening = workdir / "op2.txt"
+        code, out, err = run(capsys, "open", "--secret", str(tk),
+                             "--commitment", str(c), "--opening", str(opening),
+                             "--m-new", "1", "--out", str(new_opening))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {tk}: field 'x':")
+        assert not new_opening.exists()
+
 
 class TestForgedPipeline:
     def test_forge_verify_audit(self, capsys, workdir):

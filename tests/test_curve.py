@@ -1,0 +1,252 @@
+"""Jacobian curve arithmetic against the affine formulas it replaced.
+
+`reference_tate_pairing` is the affine Miller loop with vertical lines
+and a denominator accumulator, kept verbatim (with `distort`, `_vert`
+and `_line`) as a test oracle, and
+`reference_ec_mul` is affine double-and-add over `ec_add`. The
+library's `tate_pairing` and `ec_mul` must return exactly their values.
+"""
+
+import random
+from typing import Optional, Tuple
+
+import pytest
+
+from paircommit import (
+    DegeneratePairing,
+    binding_key_from_exponent,
+    commit,
+    setup_curve,
+    verify,
+    wi_prove,
+)
+from paircommit import commitment, curve, groups
+from paircommit.arith import gen_prime
+from paircommit.curve import (
+    F2_ONE,
+    F2_ZERO,
+    Fp2,
+    Point,
+    ec_add,
+    ec_mul,
+    ec_neg,
+    f2_inv,
+    f2_mul,
+    f2_pow,
+    random_point,
+    tate_pairing,
+)
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+def distort(fp: int, pt: Point) -> Optional[Tuple[Fp2, Fp2]]:
+    """(x, y) -> (-x, i*y), raising the point into E(F_fp2)."""
+    if pt is None:
+        return None
+    x, y = pt
+    return ((-x % fp, 0), (0, y))
+
+
+def _vert(fp: int, a: Point, s: Tuple[Fp2, Fp2]) -> Fp2:
+    # vertical line through a, evaluated at s; through infinity it is 1
+    if a is None:
+        return F2_ONE
+    sx = s[0]
+    return ((sx[0] - a[0]) % fp, sx[1])
+
+
+def _line(fp: int, a: Point, b: Point, s: Tuple[Fp2, Fp2]) -> Fp2:
+    # chord through a and b (tangent if equal), evaluated at s
+    if a is None:
+        return _vert(fp, b, s)
+    if b is None:
+        return _vert(fp, a, s)
+    x1, y1 = a
+    x2, y2 = b
+    if x1 == x2 and (y1 + y2) % fp == 0:
+        return _vert(fp, a, s)
+    if a == b:
+        lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, fp) % fp
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, fp) % fp
+    sx, sy = s
+    return ((lam * (sx[0] - x1) - (sy[0] - y1)) % fp,
+            (lam * sx[1] - sy[1]) % fp)
+
+
+def reference_tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point) -> Fp2:
+    """Reduced modified Tate pairing of two points of order dividing n.
+
+    Miller loop of length n on (p_pt, distort(q_pt)), then final
+    exponentiation to (fp^2 - 1)/n. Result lies in the order-n subgroup
+    of F_fp2^*; the identity is (1, 0).
+    """
+    if p_pt is None or q_pt is None:
+        return F2_ONE
+    s = distort(fp, q_pt)
+    assert s is not None
+    num = F2_ONE
+    den = F2_ONE
+    r = p_pt
+    for bit in bin(n)[3:]:
+        lv = _line(fp, r, r, s)
+        r = ec_add(fp, r, r)
+        vv = _vert(fp, r, s)
+        num = f2_mul(fp, f2_mul(fp, num, num), lv)
+        den = f2_mul(fp, f2_mul(fp, den, den), vv)
+        if bit == "1":
+            lv = _line(fp, r, p_pt, s)
+            r = ec_add(fp, r, p_pt)
+            vv = _vert(fp, r, s)
+            num = f2_mul(fp, num, lv)
+            den = f2_mul(fp, den, vv)
+    if num == F2_ZERO or den == F2_ZERO:
+        raise DegeneratePairing("line evaluation hit the distorted point")
+    f = f2_mul(fp, num, f2_inv(fp, den))
+    return f2_pow(fp, f, (fp * fp - 1) // n)
+
+
+def reference_ec_mul(fp: int, pt: Point, k: int) -> Point:
+    """k*pt by affine right-to-left double-and-add."""
+    if k < 0:
+        pt, k = ec_neg(fp, pt), -k
+    result: Point = None
+    while k:
+        if k & 1:
+            result = ec_add(fp, result, pt)
+        pt = ec_add(fp, pt, pt)
+        k >>= 1
+    return result
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+BITS = (3, 4, 8, 16, 32)
+
+
+def _miller_events(n: int, order: int) -> set:
+    """What the Miller loop of length n meets on a point of this order:
+    T at infinity before the last step, and T == P at an addition."""
+    events, k = set(), 1
+    bits = bin(n)[3:]
+    for i, bit in enumerate(bits):
+        k = 2 * k % order
+        if bit == "1":
+            if k == 1:
+                events.add("T == P")
+            k = (k + 1) % order
+        if k == 0 and i < len(bits) - 1:
+            events.add("infinity")
+    return events
+
+
+@pytest.fixture(scope="module", params=BITS + ("n15",),
+                ids=lambda b: f"{b}-bit" if isinstance(b, int) else b)
+def case(request):
+    """(context, points, scalars, rng) for one prime size, seeded by the size."""
+    if request.param == "n15":
+        # n = 15 = 0b1111: on a point of order 3 the loop passes through infinity
+        p, q = 3, 5
+        rng = random.Random(15)
+    else:
+        bits = request.param
+        rng = random.Random(1000 + bits)
+        p = q = gen_prime(bits, rng)
+        while q == p:
+            q = gen_prime(bits, rng)
+        p, q = min(p, q), max(p, q)
+    ctx = setup_curve(p, q, rng)
+    fp, n, g = ctx.field_prime, ctx.n, ctx.g.value
+    order_p = ec_mul(fp, g, q * rng.randrange(1, p))
+    order_q = ec_mul(fp, g, p * rng.randrange(1, q))
+    points = [None, g, ec_neg(fp, g), order_p, order_q]
+    points += [ec_mul(fp, g, rng.randrange(1, n)) for _ in range(10)]
+    scalars = [0, -1, 1, 2, n, -n, 3 * n, n - 1, n + 1, p, q, -rng.randrange(n)]
+    scalars += [rng.randrange(n) for _ in range(8)] + [rng.randrange(n, n ** 2) for _ in range(4)]
+    return ctx, points, scalars, rng
+
+
+# ---------------------------------------------------------------------------
+# agreement with the oracle
+
+def test_ec_mul_matches_reference(case):
+    ctx, points, scalars, rng = case
+    fp = ctx.field_prime
+    # whole-curve points too: their orders include 2 and 4
+    points = points + [random_point(fp, rng) for _ in range(5)]
+    for pt in points:
+        for k in scalars:
+            assert ec_mul(fp, pt, k) == reference_ec_mul(fp, pt, k), (pt, k)
+
+
+def test_tate_pairing_matches_reference(case):
+    ctx, points, _, rng = case
+    fp, n = ctx.field_prime, ctx.n
+    pairs = [(a, b) for a in points[:5] for b in points[:5]]
+    pairs += [(rng.choice(points), rng.choice(points)) for _ in range(30)]
+    for a, b in pairs:
+        assert tate_pairing(fp, n, a, b) == reference_tate_pairing(fp, n, a, b), (a, b)
+
+
+def test_small_orders_reach_the_special_cases():
+    """At n = 15 and at the 3-bit n = 35, the points of order p and q above
+    send the Miller loop through infinity and through T == P."""
+    events = set()
+    for n, p, q in [(15, 3, 5), (35, 5, 7)]:
+        events |= _miller_events(n, p) | _miller_events(n, q)
+    assert events == {"infinity", "T == P"}
+
+
+def test_line_vanishing_at_distorted_point_raises(c35):
+    """With verticals gone, a line can vanish at (-x_Q, i*y_Q) only if
+    y_Q = 0; pick x_Q so that the first tangent at g does."""
+    fp, n = c35.field_prime, c35.n
+    x1, y1 = c35.g.value
+    lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, fp) % fp
+    q_pt = ((y1 * pow(lam, -1, fp) - x1) % fp, 0)
+    for pairing in (tate_pairing, reference_tate_pairing):
+        with pytest.raises(DegeneratePairing):
+            pairing(fp, n, c35.g.value, q_pt)
+
+
+# ---------------------------------------------------------------------------
+# exact op counts
+
+def _count(monkeypatch, module, name, modules=()):
+    """Count calls of module.name, also through the bindings in `modules`."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (module,) + tuple(modules):
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_pairing_makes_one_inversion_and_no_affine_steps(monkeypatch, c35):
+    inv = _count(monkeypatch, curve, "f2_inv")
+    add = _count(monkeypatch, curve, "ec_add")
+    mul = _count(monkeypatch, curve, "ec_mul")
+    tate_pairing(c35.field_prime, c35.n, c35.g.value, c35.g.value)
+    assert (len(inv), len(add), len(mul)) == (1, 0, 0)
+
+
+def test_ec_mul_makes_no_affine_additions(monkeypatch, c35):
+    add = _count(monkeypatch, curve, "ec_add")
+    assert ec_mul(c35.field_prime, c35.g.value, 23) is not None
+    assert add == []
+
+
+def test_verify_makes_two_pairings(monkeypatch, c35):
+    ck, _ = binding_key_from_exponent(c35, 3)
+    com = commit(ck, 1, 2)
+    proof = wi_prove(ck, 1, 2)
+    calls = _count(monkeypatch, groups, "pair", (commitment,))
+    assert verify(ck, com, proof)
+    assert len(calls) == 2

@@ -6,6 +6,7 @@ from paircommit import (
     MalformedText,
     OffCurvePoint,
     Opening,
+    SecretKeyMismatch,
     binding_key_from_exponent,
     binding_keygen,
     commit,
@@ -97,6 +98,21 @@ class TestKeyFiles:
         loaded = fileio.load_trapdoor_key(path)
         assert loaded.x == 3
         assert key_fingerprint(loaded.ck) == key_fingerprint(ck)
+
+    @pytest.mark.parametrize("x, message", [(2, "g^2 is not the key's h"),
+                                            (5, "x=5 shares a factor with n=35")],
+                             ids=["not-log-of-h", "shares-factor"])
+    def test_trapdoor_key_with_wrong_x_rejected(self, tmp_path, t35, c35, backend, x, message):
+        """x=1 edited to x=2 used to load, and `open` then wrote an opening
+        that does not open the commitment."""
+        ctx = t35 if backend == "transparent" else c35
+        _, tk = hiding_key_from_exponent(ctx, 1)
+        path = tmp_path / "tk.txt"
+        fileio.save_trapdoor_key(path, tk)
+        _replace_field(path, "x", str(x))
+        with pytest.raises(SecretKeyMismatch) as info:
+            fileio.load_trapdoor_key(path)
+        assert str(info.value) == f"{path}: field 'x': {message}"
 
 
 class TestArtifactFiles:
