@@ -43,6 +43,7 @@ from .errors import (
     ContextMismatch,
     DegeneratePairing,
     DeserializeError,
+    InvalidKey,
     KeyMismatch,
     MalformedText,
     NotExtractable,

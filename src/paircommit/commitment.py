@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .arith import ext_gcd, mod_inverse
-from .errors import KeyMismatch, NotExtractable
+from .errors import InvalidKey, KeyMismatch, NotExtractable
 from .groups import (
     CURVE,
     GElement,
@@ -47,12 +47,23 @@ class CommitmentKey:
     def __post_init__(self):
         text = "|".join(value for _, value in key_fields(self))
         object.__setattr__(self, "_digest", hashlib.sha256(text.encode()).hexdigest()[:16])
+        # every commit, proof and verify raises or pairs h
+        self.h.group.fix(self.h)
 
 
 @dataclass(frozen=True)
 class ExtractionKey:
+    """ck with the larger prime q of n; for a binding ck, h must be a
+    non-identity element of the order-q subgroup, else InvalidKey."""
+
     ck: CommitmentKey
     q: int
+
+    def __post_init__(self):
+        h = self.ck.h
+        if self.ck.mode == BINDING and (h.is_identity() or not g_pow(h, self.q).is_identity()):
+            raise InvalidKey(f"h={h.to_text()} is not a non-identity element of "
+                             f"the order-q subgroup, q={self.q}")
 
 
 @dataclass(frozen=True)
@@ -219,9 +230,10 @@ def wi_prove(ck: CommitmentKey, m: int, r: int) -> WIProof:
 
 def _wi_prove_any_message(ck: CommitmentKey, m: int, r: int) -> WIProof:
     # unguarded variant: exercises the proof formula for arbitrary m,
-    # which the correctness-identity checks need
-    base = g_mul(g_pow(ck.context.g, 2 * m - 1), g_pow(ck.h, r))
-    return WIProof(g_pow(base, r), key_fingerprint(ck))
+    # which the correctness-identity checks need. (g^(2m-1) h^r)^r is
+    # computed as g^((2m-1)r) h^(r^2), so only the fixed bases are raised.
+    pi = g_mul(g_pow(ck.context.g, (2 * m - 1) * r), g_pow(ck.h, r * r))
+    return WIProof(pi, key_fingerprint(ck))
 
 
 def verify(ck: CommitmentKey, c: Commitment, pi: WIProof) -> bool:

@@ -16,16 +16,25 @@ Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, and
 pay one inversion each at the end. The Miller loop keeps no
 denominators: vertical lines and the F_fp factors of each line value
 lie in F_fp*, which the final exponent (fp - 1)*cofactor sends to 1.
+
+A point used again and again can bring its precomputation, which the
+caller owns and keeps: `doubling_table` gives the affine points 2^i*P,
+with which `ec_mul` makes only mixed additions, and the list that
+`tate_pairing` fills with P's Miller lines lets a later pairing with
+the same P replay them at Q without point arithmetic. Nothing is
+cached in this module.
 """
 
 import random
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .arith import is_probable_prime
 from .errors import DegeneratePairing
 
 Point = Optional[Tuple[int, int]]
 Fp2 = Tuple[int, int]
+# a Miller line (A, B, C), whose value at (-x_Q, i*y_Q) is (A*x_Q + B) + i*C*y_Q
+Line = Tuple[int, int, int]
 
 F2_ONE: Fp2 = (1, 0)
 F2_ZERO: Fp2 = (0, 0)
@@ -120,27 +129,83 @@ def _jac_add(fp: int, x: int, y: int, z: int, px: int, py: int) -> Tuple[int, ..
     return x3, (r * (v - x3) - y * hhh) % fp, z * h % fp, r
 
 
-def ec_mul(fp: int, pt: Point, k: int) -> Point:
-    if k < 0:
-        pt = ec_neg(fp, pt)
-        k = -k
-    if pt is None or k == 0:
-        return None
-    px, py = pt
-    x, y, z = px, py, 1
-    for bit in bin(k)[3:]:
-        x, y, z = _jac_double(fp, x, y, z)[:3]
-        if bit == "1":
-            if z == 0:
-                x, y, z = px, py, 1
-                continue
-            x3, y3, z3, r = _jac_add(fp, x, y, z, px, py)
-            x, y, z = (x3, y3, z3) if z3 or r else _jac_double(fp, x, y, z)[:3]
+def _add_affine(fp: int, x: int, y: int, z: int, px: int, py: int) -> Tuple[int, int, int]:
+    # T + P for Jacobian T and affine P, also when T is infinity, -P or P
+    if z == 0:
+        return px, py, 1
+    x3, y3, z3, r = _jac_add(fp, x, y, z, px, py)
+    if z3 or r:
+        return x3, y3, z3
+    return _jac_double(fp, x, y, z)[:3]
+
+
+def _affine(fp: int, x: int, y: int, z: int) -> Point:
     if z == 0:
         return None
     zinv = pow(z, -1, fp)
     zinv2 = zinv * zinv % fp
     return (x * zinv2 % fp, y * zinv2 * zinv % fp)
+
+
+def ec_mul(fp: int, pt: Point, k: int, table: Optional[List[Point]] = None) -> Point:
+    """k*pt, with one inversion at the end.
+
+    Given table = doubling_table(fp, pt, size) and |k| < 2^(size - 1), the
+    NAF digits of k pick +-2^i*pt from the table, and the power is only
+    mixed additions. Otherwise it is Jacobian double-and-add.
+    """
+    if pt is None or k == 0:
+        return None
+    if table is not None and k.bit_length() < len(table):
+        x, y, z, i = 0, 1, 0, 0
+        while k:
+            if k & 1:
+                digit = 2 - (k & 3)
+                k -= digit
+                if table[i] is not None:
+                    px, py = table[i]
+                    x, y, z = _add_affine(fp, x, y, z, px, py if digit == 1 else -py % fp)
+            k >>= 1
+            i += 1
+        return _affine(fp, x, y, z)
+    if k < 0:
+        pt = ec_neg(fp, pt)
+        k = -k
+    px, py = pt
+    x, y, z = px, py, 1
+    for bit in bin(k)[3:]:
+        x, y, z = _jac_double(fp, x, y, z)[:3]
+        if bit == "1":
+            x, y, z = _add_affine(fp, x, y, z, px, py)
+    return _affine(fp, x, y, z)
+
+
+def doubling_table(fp: int, pt: Point, size: int) -> List[Point]:
+    """[2^i * pt for i in range(size)], affine, with one batched inversion.
+
+    Entries past a point of order 2^i are None, the point at infinity.
+    """
+    x, y, z = (pt[0], pt[1], 1) if pt is not None else (0, 1, 0)
+    jac = [(x, y, z)]
+    while len(jac) < size:
+        x, y, z = _jac_double(fp, x, y, z)[:3]
+        jac.append((x, y, z))
+    # Montgomery's trick: invert the product of the nonzero z once
+    prefix, acc = [], 1
+    for _, _, z in jac:
+        prefix.append(acc)
+        if z:
+            acc = acc * z % fp
+    inv = pow(acc, -1, fp)
+    table: List[Point] = [None] * size
+    for i in range(size - 1, -1, -1):
+        x, y, z = jac[i]
+        if z:
+            zinv = inv * prefix[i] % fp
+            inv = inv * z % fp
+            zinv2 = zinv * zinv % fp
+            table[i] = (x * zinv2 % fp, y * zinv2 * zinv % fp)
+    return table
 
 
 def sqrt_mod(fp: int, a: int) -> Optional[int]:
@@ -185,53 +250,81 @@ def find_curve_field(n: int, bound: int = 2 ** 20,
 # ---------------------------------------------------------------------------
 # modified Tate pairing
 
-def _tangent(fp: int, x: int, y: int, z: int, qx: int, qy: int) -> Tuple[int, ...]:
-    # 2T, then the tangent at T evaluated at (-qx, i*qy) times 2*y*z^3
+def _tangent(fp: int, x: int, y: int, z: int) -> Tuple[int, ...]:
+    # 2T, then the tangent at T as (A, B, C), unreduced: its value at
+    # (-x_Q, i*y_Q) times 2*y*z^3 is (A*x_Q + B) + i*C*y_Q
     x3, y3, z3, m, yy, zz = _jac_double(fp, x, y, z)
-    return x3, y3, z3, (m * (qx * zz + x) - 2 * yy) % fp, qy * z3 * zz % fp
+    return x3, y3, z3, m * zz, m * x - 2 * yy, z3 * zz
 
 
-def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point) -> Fp2:
+def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point,
+                 lines: Optional[List[Optional[Line]]] = None) -> Fp2:
     """Reduced modified Tate pairing of two points of order dividing n.
 
-    Miller loop of length n over P = p_pt in Jacobian coordinates, each
-    tangent and chord evaluated at the distorted Q, (-x_Q, i*y_Q), times
-    an F_fp factor, e.g. the tangent at T as
-    (M*(x_Q*Z^2 + X) - 2*Y^2) + i*(2*y_Q*Y*Z^3); vertical lines are left
+    Miller loop of length n over P = p_pt in Jacobian coordinates. Each
+    tangent and chord is kept as coefficients (A, B, C) whose value at
+    the distorted Q, (-x_Q, i*y_Q), is (A*x_Q + B) + i*C*y_Q: the line
+    times an F_fp factor, e.g. the tangent at T as
+    (M*Z^2*x_Q + M*X - 2*Y^2) + i*(2*Y*Z^3*y_Q); vertical lines are left
     out. The final exponent (fp^2 - 1)/n = (fp - 1)*cofactor kills all
     of F_fp*; since Frobenius is conjugation, f^(fp-1) = conj(f)/f and
-    only the cofactor power is left. The result lies in the order-n
-    subgroup of F_fp2^*; the identity is (1, 0). Raises DegeneratePairing
-    if a line vanishes at the distorted point, which needs y_Q = 0.
+    only the cofactor power is left.
+
+    `lines` is P's record: an empty list is filled with the loop's
+    coefficients, in order, with None for each squaring of the
+    accumulator; a filled one is replayed at Q instead of walking the
+    bits of n again, so no point arithmetic runs.
+
+    The result lies in the order-n subgroup of F_fp2^*; the identity is
+    (1, 0). Raises DegeneratePairing if a line vanishes at the distorted
+    point, which needs y_Q = 0.
     """
     if p_pt is None or q_pt is None:
         return F2_ONE
-    px, py = p_pt
     qx, qy = q_pt
     a, b = 1, 0
-    x, y, z = px, py, 1
-    for bit in bin(n)[3:]:
-        a, b = (a - b) * (a + b) % fp, 2 * a * b % fp
-        if z:
-            x, y, z, lr, li = _tangent(fp, x, y, z, qx, qy)
+    if lines:
+        for line in lines:
+            if line is None:
+                a, b = (a - b) * (a + b) % fp, 2 * a * b % fp
+                continue
+            la, lb, lc = line
+            lr, li = (la * qx + lb) % fp, lc * qy % fp
             a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
-        if bit == "0":
-            continue
-        if z == 0:
-            x, y, z = px, py, 1
-            continue
-        # the chord times z3 is r*(x_Q + x_P) - y_P*z3 + i*y_Q*z3; at
-        # T = -P it is a vertical line, dropped, and T = P needs the tangent
-        x3, y3, z3, r = _jac_add(fp, x, y, z, px, py)
-        if z3:
-            x, y, z = x3, y3, z3
-            lr, li = (r * (qx + px) - py * z3) % fp, qy * z3 % fp
-        elif r == 0:
-            x, y, z, lr, li = _tangent(fp, x, y, z, qx, qy)
-        else:
-            z = 0
-            continue
-        a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
+    else:
+        record = lines is not None
+        px, py = p_pt
+        x, y, z = px, py, 1
+        # a doubling step per bit of n after the first, and an addition
+        # step after each doubling at a 1 bit
+        for step in bin(n)[3:].replace("1", "DA").replace("0", "D"):
+            if step == "D":
+                a, b = (a - b) * (a + b) % fp, 2 * a * b % fp
+                if record:
+                    lines.append(None)
+                if z == 0:
+                    continue
+                x, y, z, la, lb, lc = _tangent(fp, x, y, z)
+            elif z == 0:
+                x, y, z = px, py, 1
+                continue
+            else:
+                # the chord times z3 is r*(x_Q + x_P) - y_P*z3 + i*y_Q*z3;
+                # at T = -P it is a vertical line, dropped, and T = P needs
+                # the tangent
+                x3, y3, z3, r = _jac_add(fp, x, y, z, px, py)
+                if z3:
+                    x, y, z = x3, y3, z3
+                    la, lb, lc = r, r * px - py * z3, z3
+                elif r == 0:
+                    x, y, z, la, lb, lc = _tangent(fp, x, y, z)
+                else:
+                    z = 0
+                    continue
+            lr, li = (la * qx + lb) % fp, lc * qy % fp
+            a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
+            if record:
+                lines.append((la % fp, lb % fp, lc % fp))
     if a == 0 and b == 0:
         raise DegeneratePairing("line evaluation hit the distorted point")
     f = f2_mul(fp, (a, -b % fp), f2_inv(fp, (a, b)))

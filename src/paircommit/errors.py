@@ -52,6 +52,12 @@ class WrongOrderElement(DeserializeError):
     """A deserialized element is not in the expected order-n subgroup."""
 
 
+class InvalidKey(DeserializeError):
+    """Key material that parses but is not the key it claims to be: an
+    extraction key whose h is the identity or outside the order-q
+    subgroup, or a transparent key whose g is not G:1."""
+
+
 class SecretKeyMismatch(DeserializeError):
     """A secret key file's secret does not belong to the public key in it."""
 

@@ -24,7 +24,7 @@ from .commitment import (
     key_fields,
     key_fingerprint,
 )
-from .errors import DeserializeError, MalformedText, SecretKeyMismatch
+from .errors import DeserializeError, InvalidKey, MalformedText, SecretKeyMismatch
 from .forgery import CensusResult, ClaimReport, ForgeryRecord, Verdict
 from .groups import (
     CURVE,
@@ -160,6 +160,12 @@ def _key_from_fields(fields: Dict[str, str], where: str,
     if mode not in (BINDING, HIDING):
         raise MalformedText(f"{where}: unknown mode {mode!r}")
     ctx = _context_from_fields(fields, where, _take_int(fields, "n", where), p, q)
+    if ctx.backend == TRANSPARENT:
+        # the curve backend's g is the context's own generator, checked as such
+        g = _take_element(fields, "g", where, ctx)
+        if g != ctx.g:
+            raise InvalidKey(f"{where}: field 'g': a transparent key's generator "
+                             f"is {ctx.g.to_text()}, got {g.to_text()}")
     return CommitmentKey(ctx, _take_element(fields, "h", where, ctx), mode)
 
 
@@ -185,7 +191,9 @@ def load_extraction_key(path: PathLike) -> ExtractionKey:
     p = n // q
     if p >= q:
         raise MalformedText(f"{where}: q={q} is not the larger prime factor")
-    return ExtractionKey(_key_from_fields(fields, where, p=p, q=q), q)
+    ck = _key_from_fields(fields, where, p=p, q=q)
+    with _naming(where, "h"):
+        return ExtractionKey(ck, q)
 
 
 def save_trapdoor_key(path: PathLike, tk: TrapdoorKey) -> None:

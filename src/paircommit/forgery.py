@@ -38,6 +38,7 @@ from .commitment import (
 )
 from .errors import KeyMismatch
 from .groups import (
+    GElement,
     GroupContext,
     TRANSPARENT,
     g_inv,
@@ -55,11 +56,20 @@ CENSUS_MAX_ORDER = 2 ** 12
 
 @dataclass(frozen=True)
 class Verdict:
-    """Trapdoor-holder's classification of a commitment."""
+    """Trapdoor-holder's classification of a commitment, with its probes
+    c^q and (c/g)^q."""
 
     label: str
-    c_in_gq: bool
-    c_over_g_in_gq: bool
+    c_pow_q: GElement
+    c_over_g_pow_q: GElement
+
+    @property
+    def c_in_gq(self) -> bool:
+        return self.c_pow_q.is_identity()
+
+    @property
+    def c_over_g_in_gq(self) -> bool:
+        return self.c_over_g_pow_q.is_identity()
 
 
 @dataclass(frozen=True)
@@ -169,15 +179,18 @@ def audit(q: int, ck: CommitmentKey, c: Commitment) -> Verdict:
     means a commitment to 1; neither means no bit opening exists.
     """
     check_key(ck, c)
-    in_gq = is_in_subgroup_q(c.c, q)
-    shifted_in_gq = is_in_subgroup_q(g_mul(c.c, g_inv(ck.context.g)), q)
-    if in_gq:
+    n = ck.context.n
+    if n % q != 0:
+        raise ValueError(f"q={q} does not divide the group order {n}")
+    c_pow_q = g_pow(c.c, q)
+    shifted_pow_q = g_pow(g_mul(c.c, g_inv(ck.context.g)), q)
+    if c_pow_q.is_identity():
         label = COMMITS_TO_0
-    elif shifted_in_gq:
+    elif shifted_pow_q.is_identity():
         label = COMMITS_TO_1
     else:
         label = INVALID
-    return Verdict(label, in_gq, shifted_in_gq)
+    return Verdict(label, c_pow_q, shifted_pow_q)
 
 
 def claim_report(record: ForgeryRecord, ck: CommitmentKey, p: int, q: int) -> ClaimReport:

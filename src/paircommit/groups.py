@@ -18,10 +18,19 @@ Both backends expose the same operations, and any protocol decision
 A context may know the factorization of n (built by setup_*) or not
 (rebuilt from public key material); operations that need p or q take
 them explicitly or demand a full context.
+
+A curve context keeps what it can precompute for its fixed bases, on
+itself and never in module globals, so two contexts share nothing:
+pair(g, g) is computed at its first use, and g and every key's h (which
+CommitmentKey marks with `fix`) get a doubling table at their second
+power and recorded Miller lines at their second pairing as the first
+argument, so that commit, wi_prove and forge raise them by additions
+only and verify's pair(h, pi) replays h's lines. Exponents are reduced
+to (-n/2, n/2] first, so g^-1 costs no doublings.
 """
 
 import random
-from typing import Optional
+from typing import Dict, List, Optional
 
 from . import curve
 from .arith import is_probable_prime
@@ -110,9 +119,11 @@ class GTElement:
 
 
 class GroupContext:
-    """Common interface of both backends. Immutable once constructed."""
+    """Common interface of both backends. Immutable once constructed,
+    apart from the curve backend's caches, which change no value."""
 
     backend: str = ""
+    gt: GTElement  # pair(g, g), set or computed by the subclass
 
     def __init__(self, n: int, p: Optional[int], q: Optional[int]):
         if n < 2:
@@ -132,7 +143,6 @@ class GroupContext:
         self.p = p
         self.q = q
         self.g: GElement = None  # set by subclass
-        self.gt: GTElement = None  # cached pair(g, g), set by subclass
 
     @property
     def knows_factorization(self) -> bool:
@@ -151,6 +161,10 @@ class GroupContext:
 
     def same_group(self, other: "GroupContext") -> bool:
         raise NotImplementedError
+
+    def fix(self, el: GElement) -> None:
+        """Mark el as a base that is raised or paired again and again, such
+        as a key's h, so the context may keep precomputation for it."""
 
     # payload-level operations, implemented per backend
     def _el_identity(self):
@@ -249,6 +263,21 @@ class TransparentContext(GroupContext):
         return e
 
 
+class _FixedBase:
+    """What a curve context keeps for one fixed base P: its doubling table
+    (curve.doubling_table), built at P's second power, and its Miller lines
+    (curve.tate_pairing's record), recorded by P's second pairing as the
+    first argument. A base used once pays for neither."""
+
+    __slots__ = ("powers", "pairings", "table", "lines")
+
+    def __init__(self):
+        self.powers = 0
+        self.pairings = 0
+        self.table: Optional[List[curve.Point]] = None
+        self.lines: Optional[List[Optional[curve.Line]]] = None
+
+
 class CurveContext(GroupContext):
     """Order-n subgroup of the supersingular curve y^2 = x^3 + x over F_fp."""
 
@@ -284,7 +313,20 @@ class CurveContext(GroupContext):
                     raise WrongOrderElement(
                         f"generator has order dividing n/{prime}, not exactly n")
         self.g = GElement(self, g_point)
-        self.gt = GTElement(self, curve.tate_pairing(field_prime, n, g_point, g_point))
+        self._gt: Optional[GTElement] = None
+        self._fixed: Dict[curve.Point, _FixedBase] = {}
+        self.fix(self.g)
+
+    @property
+    def gt(self) -> GTElement:
+        """pair(g, g), computed on first use."""
+        if self._gt is None:
+            self._gt = GTElement(self, self._pair(self.g.value, self.g.value))
+        return self._gt
+
+    def fix(self, el: GElement) -> None:
+        if el.value is not None:
+            self._fixed.setdefault(el.value, _FixedBase())
 
     def same_group(self, other: GroupContext) -> bool:
         return (other.backend == CURVE and other.n == self.n
@@ -302,7 +344,18 @@ class CurveContext(GroupContext):
         return curve.ec_neg(self.field_prime, a)
 
     def _el_pow(self, a, e):
-        return curve.ec_mul(self.field_prime, a, e % self.n)
+        fp, n = self.field_prime, self.n
+        # the representative of e in (-n/2, n/2]: g^-1 costs no doublings
+        e %= n
+        if e > n // 2:
+            e -= n
+        fixed = self._fixed.get(a)
+        if fixed is None:
+            return curve.ec_mul(fp, a, e)
+        fixed.powers += 1
+        if fixed.powers == 2:
+            fixed.table = curve.doubling_table(fp, a, n.bit_length())
+        return curve.ec_mul(fp, a, e, fixed.table)
 
     def _gt_identity(self):
         return curve.F2_ONE
@@ -317,7 +370,20 @@ class CurveContext(GroupContext):
         return curve.f2_pow(self.field_prime, a, e % self.n)
 
     def _pair(self, a, b):
-        return curve.tate_pairing(self.field_prime, self.n, a, b)
+        fp, n = self.field_prime, self.n
+        fixed = self._fixed.get(a)
+        if fixed is None:
+            return curve.tate_pairing(fp, n, a, b)
+        if fixed.lines:
+            return curve.tate_pairing(fp, n, a, b, fixed.lines)
+        fixed.pairings += 1
+        if fixed.pairings == 1:
+            return curve.tate_pairing(fp, n, a, b)
+        # record a's lines; a pairing that raises leaves no partial record
+        lines = []
+        value = curve.tate_pairing(fp, n, a, b, lines)
+        fixed.lines = lines
+        return value
 
     def _el_to_text(self, a) -> str:
         if a is None:
@@ -414,11 +480,13 @@ def setup_curve(p: int, q: int, rng: random.Random,
     g_point = _sample_generator(fp, cofactor, n, p, q, rng)
     try:
         ctx = CurveContext(n, fp, cofactor, g_point, p, q)
+        gt = ctx.gt
     except DegeneratePairing:
         # one retry with a fresh generator, then give up
         g_point = _sample_generator(fp, cofactor, n, p, q, rng)
         ctx = CurveContext(n, fp, cofactor, g_point, p, q)
-    if (ctx.gt ** (n // p)).is_identity() or (ctx.gt ** (n // q)).is_identity():
+        gt = ctx.gt
+    if (gt ** (n // p)).is_identity() or (gt ** (n // q)).is_identity():
         raise DegeneratePairing("pair(g, g) does not have order exactly n")
     return ctx
 

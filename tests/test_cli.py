@@ -431,6 +431,78 @@ class TestHonestPipeline:
         assert not new_opening.exists()
 
 
+class TestKeyChecks:
+    """An extraction key's h must be a non-identity element of the order-q
+    subgroup, and a transparent key's g must be G:1; a CLI call given
+    either kind of bad key exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("backend", [TRANSPARENT, CURVE])
+    def test_bad_extraction_key_is_exit_2(self, capsys, workdir, backend):
+        ctx, _ = _make_params(capsys, workdir, backend=backend)
+        ck, xk = workdir / "ck.txt", workdir / "xk.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        c = workdir / "c.txt"
+        run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2", "--out", str(c))
+        g = _field(ck, "g")
+        forgery = workdir / "forgery.txt"
+        # the identity, and the generator, whose order is n, not q
+        for bad in ("G:0" if backend == TRANSPARENT else "G:inf", g):
+            _set_field(xk, "h", bad)
+            for argv in (("extract", "--secret", str(xk), "--commitment", str(c)),
+                         ("audit", "--secret", str(xk), "--ck", str(ck), "--commitment", str(c)),
+                         ("forge", "--ck", str(ck), "--secret", str(xk), "--beta1", "2",
+                          "--out", str(forgery))):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert err.startswith(f"error: {xk}: field 'h':"), err
+        assert not forgery.exists()
+
+    def test_reported_silent_extraction(self, capsys, workdir):
+        """At (5, 7), h=G:1 in the extraction key and g=G:3 in the public
+        key used to load, and extract then printed m=3 with exit 0."""
+        ctx, _ = _make_params(capsys, workdir)
+        ck, xk = workdir / "ck.txt", workdir / "xk.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        c, c_bad = workdir / "c.txt", workdir / "c_bad.txt"
+        run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2", "--out", str(c))
+        _set_field(xk, "h", "G:1")
+        _set_field(ck, "g", "G:3")
+        code, out, err = run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2",
+                             "--out", str(c_bad))
+        assert (code, out) == (2, "") and not c_bad.exists()
+        assert err.startswith(f"error: {ck}: field 'g':"), err
+        code, out, err = run(capsys, "extract", "--secret", str(xk), "--commitment", str(c))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {xk}: field 'h':"), err
+
+    def test_transparent_key_needs_its_generator(self, capsys, workdir):
+        ctx, _ = _make_params(capsys, workdir)
+        ck, xk = workdir / "ck.txt", workdir / "xk.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        ck.write_text("".join(line + "\n" for line in ck.read_text().splitlines()
+                              if not line.startswith("g=")))
+        c = workdir / "c.txt"
+        code, out, err = run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2",
+                             "--out", str(c))
+        assert (code, out) == (2, "") and not c.exists()
+        assert "'g'" in err
+
+
+def _field(path, name):
+    return next((line.split("=", 1)[1] for line in path.read_text().splitlines()
+                 if line.startswith(f"{name}=")), None)
+
+
+def _set_field(path, name, value):
+    lines = path.read_text().splitlines()
+    assert any(line.startswith(f"{name}=") for line in lines)
+    path.write_text("".join(f"{name}={value}\n" if line.startswith(f"{name}=") else f"{line}\n"
+                            for line in lines))
+
+
 class TestForgedPipeline:
     def test_forge_verify_audit(self, capsys, workdir):
         """Forged proof passes verify; audit reports the probe elements."""

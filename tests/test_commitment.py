@@ -8,7 +8,9 @@ import pytest
 from paircommit import (
     BINDING,
     CommitmentKey,
+    ExtractionKey,
     HIDING,
+    InvalidKey,
     KeyMismatch,
     NotExtractable,
     Opening,
@@ -161,6 +163,14 @@ class TestExtraction:
         c = Commitment(t35.g ** 3, key_fingerprint(ck))
         with pytest.raises(NotExtractable):
             extract(xk, c, 2)
+
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_key_needs_h_of_order_q(self, t35, c35, backend):
+        ctx = t35 if backend == "transparent" else c35
+        for h in (ctx.identity, ctx.g, ctx.g ** 7):
+            with pytest.raises(InvalidKey):
+                ExtractionKey(CommitmentKey(ctx, h, BINDING), 7)
+        assert ExtractionKey(CommitmentKey(ctx, ctx.g ** 5, BINDING), 7)
 
     def test_hiding_key_rejected(self, hiding35):
         from paircommit import ExtractionKey

@@ -4,7 +4,10 @@
 and a denominator accumulator, kept verbatim (with `distort`, `_vert`
 and `_line`) as a test oracle, and
 `reference_ec_mul` is affine double-and-add over `ec_add`. The
-library's `tate_pairing` and `ec_mul` must return exactly their values.
+library's `tate_pairing` and `ec_mul` must return exactly their values,
+also when a doubling table serves the power or recorded Miller lines
+are replayed, and so must a context's powers and pairings of its fixed
+bases.
 """
 
 import random
@@ -13,9 +16,11 @@ from typing import Optional, Tuple
 import pytest
 
 from paircommit import (
+    CurveContext,
     DegeneratePairing,
     binding_key_from_exponent,
     commit,
+    pair,
     setup_curve,
     verify,
     wi_prove,
@@ -27,6 +32,7 @@ from paircommit.curve import (
     F2_ZERO,
     Fp2,
     Point,
+    doubling_table,
     ec_add,
     ec_mul,
     ec_neg,
@@ -124,7 +130,7 @@ def reference_ec_mul(fp: int, pt: Point, k: int) -> Point:
 # ---------------------------------------------------------------------------
 # inputs
 
-BITS = (3, 4, 8, 16, 32)
+BITS = (3, 4, 8, 16, 32, 64)
 
 
 def _miller_events(n: int, order: int) -> set:
@@ -207,9 +213,87 @@ def test_line_vanishing_at_distorted_point_raises(c35):
     x1, y1 = c35.g.value
     lam = (3 * x1 * x1 + 1) * pow(2 * y1, -1, fp) % fp
     q_pt = ((y1 * pow(lam, -1, fp) - x1) % fp, 0)
-    for pairing in (tate_pairing, reference_tate_pairing):
+    lines = []
+    tate_pairing(fp, n, c35.g.value, c35.g.value, lines)
+    for pairing in (tate_pairing, reference_tate_pairing,
+                    lambda *args: tate_pairing(*args, lines)):
         with pytest.raises(DegeneratePairing):
             pairing(fp, n, c35.g.value, q_pt)
+    # through a context, the pairing that would record g's lines raises and
+    # leaves no record
+    ctx = CurveContext(n, fp, c35.cofactor, c35.g.value, c35.p, c35.q)
+    for _ in range(2):
+        with pytest.raises(DegeneratePairing):
+            pair(ctx.g, ctx.element(q_pt))
+    assert ctx._fixed[ctx.g.value].lines is None
+
+
+# ---------------------------------------------------------------------------
+# fixed arguments: doubling tables and recorded Miller lines
+
+def test_table_powers_match_reference(case):
+    ctx, points, scalars, _ = case
+    fp = ctx.field_prime
+    size = max(abs(k) for k in scalars).bit_length() + 1
+    for pt in points:
+        table = doubling_table(fp, pt, size)
+        assert table[0] == pt
+        assert all(table[i + 1] == ec_add(fp, table[i], table[i]) for i in range(size - 1))
+        for k in scalars:
+            assert ec_mul(fp, pt, k, table) == reference_ec_mul(fp, pt, k), (pt, k)
+
+
+def test_replayed_pairings_match_reference(case):
+    ctx, points, _, rng = case
+    fp, n = ctx.field_prime, ctx.n
+    for p_pt in points[:5] + [rng.choice(points) for _ in range(3)]:
+        lines = []
+        first = tate_pairing(fp, n, p_pt, ctx.g.value, lines)
+        assert first == reference_tate_pairing(fp, n, p_pt, ctx.g.value)
+        for q_pt in points:
+            assert tate_pairing(fp, n, p_pt, q_pt, lines) == \
+                reference_tate_pairing(fp, n, p_pt, q_pt), (p_pt, q_pt)
+
+
+def test_context_serves_fixed_bases(case):
+    """A context's powers and pairings of g, of a key's h and of points of
+    order p and q marked fixed agree with the oracle, from the first use,
+    through the table built at the second, on."""
+    ctx, points, scalars, rng = case
+    fp, n = ctx.field_prime, ctx.n
+    ctx = CurveContext(n, fp, ctx.cofactor, ctx.g.value, ctx.p, ctx.q)
+    ck, _ = binding_key_from_exponent(ctx, rng.randrange(1, ctx.q))
+    bases = [ctx.g, ck.h, ctx.element(points[3]), ctx.element(points[4])]
+    for base in bases[2:]:
+        ctx.fix(base)
+    for base in bases:
+        for k in scalars:
+            assert (base ** k).value == reference_ec_mul(fp, base.value, k), (base, k)
+        assert ctx._fixed[base.value].table is not None
+        for q_pt in points:
+            assert pair(base, ctx.element(q_pt)).value == \
+                reference_tate_pairing(fp, n, base.value, q_pt), (base, q_pt)
+        assert ctx._fixed[base.value].lines
+
+
+def test_two_contexts_never_share_a_cache(c35):
+    fp, n = c35.field_prime, c35.n
+    a, b = (CurveContext(n, fp, c35.cofactor, c35.g.value, c35.p, c35.q) for _ in range(2))
+    (ck_a, _), (ck_b, _) = (binding_key_from_exponent(ctx, 3) for ctx in (a, b))
+    assert ck_a.h == ck_b.h and a._fixed is not b._fixed
+    for r in (2, 4):
+        assert verify(ck_a, commit(ck_a, 1, r), wi_prove(ck_a, 1, r))
+    fixed_a, fixed_b = a._fixed[ck_a.h.value], b._fixed[ck_b.h.value]
+    assert fixed_a.table and fixed_a.lines and a._fixed[a.g.value].table
+    assert (fixed_b.table, fixed_b.lines, b._fixed[b.g.value].table) == (None, None, None)
+
+
+def test_context_build_pairs_nothing_until_gt_is_used(monkeypatch, c35):
+    calls = _count(monkeypatch, curve, "tate_pairing")
+    ctx = CurveContext(c35.n, c35.field_prime, c35.cofactor, c35.g.value, c35.p, c35.q)
+    assert calls == []
+    assert ctx.gt == c35.gt and ctx.gt is ctx.gt
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +334,55 @@ def test_verify_makes_two_pairings(monkeypatch, c35):
     calls = _count(monkeypatch, groups, "pair", (commitment,))
     assert verify(ck, com, proof)
     assert len(calls) == 2
+
+
+def test_table_power_makes_no_doublings(monkeypatch, case):
+    ctx, points, _, rng = case
+    fp, n = ctx.field_prime, ctx.n
+    table = doubling_table(fp, ctx.g.value, n.bit_length())
+    doubles = _count(monkeypatch, curve, "_jac_double")
+    for k in (1, -1, n // 2, -(n // 2), rng.randrange(-(n // 2), n // 2)):
+        assert ec_mul(fp, ctx.g.value, k, table) == reference_ec_mul(fp, ctx.g.value, k)
+    assert doubles == []
+
+
+def test_replayed_pairing_makes_no_point_arithmetic(monkeypatch, case):
+    ctx, points, _, _ = case
+    fp, n = ctx.field_prime, ctx.n
+    lines = []
+    tate_pairing(fp, n, ctx.g.value, points[5], lines)
+    steps = [_count(monkeypatch, curve, name) for name in ("_jac_double", "_jac_add")]
+    inv = _count(monkeypatch, curve, "f2_inv")
+    tate_pairing(fp, n, ctx.g.value, points[6], lines)
+    assert steps == [[], []] and len(inv) == 1
+
+
+def test_signed_exponent_costs_no_doublings(monkeypatch, c35):
+    ctx = CurveContext(c35.n, c35.field_prime, c35.cofactor, c35.g.value, c35.p, c35.q)
+    doubles = _count(monkeypatch, curve, "_jac_double")
+    minus_one = ctx.g ** (c35.n - 1)
+    assert doubles == []
+    assert minus_one == ctx.g.inverse() == ctx.g ** -1
+
+
+# in a tiny group a table power can meet T = 2^i*P, which takes a doubling
+@pytest.mark.parametrize("case", [16, 32], indirect=True, ids=lambda b: f"{b}-bit")
+def test_warm_key_protocol_op_counts(monkeypatch, case):
+    """Once a key's tables and lines exist, commit and wi_prove make no
+    doublings and verify walks the Miller loop only for pair(c, c*g^-1)."""
+    ctx, _, _, rng = case
+    fp, n = ctx.field_prime, ctx.n
+    ck, _ = binding_key_from_exponent(ctx, rng.randrange(1, ctx.q))
+    m, r = 1, rng.randrange(n)
+    for _ in range(2):
+        com, proof = commit(ck, m, r), wi_prove(ck, m, r)
+        assert verify(ck, com, proof)
+    doubles = _count(monkeypatch, curve, "_jac_double")
+    assert commit(ck, m, r) == com and wi_prove(ck, m, r) == proof
+    assert doubles == []
+    shifted = com.c * ctx.g.inverse()
+    tate_pairing(fp, n, com.c.value, shifted.value)
+    walk = len(doubles)
+    doubles.clear()
+    assert verify(ck, com, proof)
+    assert len(doubles) == walk

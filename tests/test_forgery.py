@@ -153,6 +153,17 @@ class TestAudit:
             v = audit(7, ck, commit(ck, m, rng.randrange(35)))
             assert v.label == (COMMITS_TO_0 if m == 0 else COMMITS_TO_1)
 
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_verdict_carries_its_probes(self, t35, c35, backend):
+        ctx = t35 if backend == "transparent" else c35
+        ck, _ = binding_key_from_exponent(ctx, 3)
+        fp = key_fingerprint(ck)
+        for e in range(35):
+            c = ctx.g ** e
+            v = audit(7, ck, Commitment(c, fp))
+            assert v.c_pow_q == c ** 7 and v.c_over_g_pow_q == (c * ctx.g.inverse()) ** 7
+            assert (v.c_in_gq, v.c_over_g_in_gq) == (e * 7 % 35 == 0, (e - 1) * 7 % 35 == 0)
+
 
 class TestClaimReport:
     def test_worked_forgery_report(self, binding35):
