@@ -14,7 +14,7 @@ Everything is deliberately small and non-cryptographic: the point is to
 make every claim about the scheme mechanically checkable.
 """
 
-from .arith import ExtGcdResult, ext_gcd, gen_prime, is_probable_prime, mod_exp, mod_inverse
+from .arith import ExtGcdResult, ext_gcd, gen_prime, is_probable_prime, mod_inverse
 from .commitment import (
     BINDING,
     Commitment,
@@ -75,13 +75,7 @@ from .groups import (
     TRANSPARENT,
     TransparentContext,
     element_from_text,
-    g_inv,
-    g_mul,
-    g_pow,
     gt_element_from_text,
-    gt_inv,
-    gt_mul,
-    gt_pow,
     is_in_subgroup_q,
     pair,
     point_from_text,

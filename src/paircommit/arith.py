@@ -60,15 +60,6 @@ def mod_inverse(a: int, n: int) -> int:
     return s % n
 
 
-def mod_exp(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus, result in [0, modulus)."""
-    if modulus <= 0:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be non-negative, got {exp}")
-    return pow(base, exp, modulus)
-
-
 def is_probable_prime(n: int, rng: Optional[random.Random] = None, rounds: int = 40) -> bool:
     """Miller-Rabin primality test.
 

@@ -23,9 +23,6 @@ from .groups import (
     CURVE,
     GElement,
     GroupContext,
-    g_inv,
-    g_mul,
-    g_pow,
     pair,
 )
 
@@ -61,7 +58,7 @@ class ExtractionKey:
 
     def __post_init__(self):
         h = self.ck.h
-        if self.ck.mode == BINDING and (h.is_identity() or not g_pow(h, self.q).is_identity()):
+        if self.ck.mode == BINDING and (h.is_identity() or not (h ** self.q).is_identity()):
             raise InvalidKey(f"h={h.to_text()} is not a non-identity element of "
                              f"the order-q subgroup, q={self.q}")
 
@@ -122,7 +119,7 @@ def binding_key_from_exponent(ctx: GroupContext, x: int) -> Tuple[CommitmentKey,
     p, q = _require_factorization(ctx)
     if not 1 <= x < q:
         raise ValueError(f"x must lie in [1, {q}), got {x}")
-    h = g_pow(ctx.g, p * x)
+    h = ctx.g ** (p * x)
     ck = CommitmentKey(ctx, h, BINDING)
     return ck, ExtractionKey(ck, q)
 
@@ -134,7 +131,7 @@ def hiding_key_from_exponent(ctx: GroupContext, x: int) -> Tuple[CommitmentKey, 
         raise ValueError(f"x must lie in [1, {q}), got {x}")
     if ext_gcd(x, ctx.n).g != 1:
         raise ValueError(f"x={x} shares a factor with n={ctx.n}")
-    h = g_pow(ctx.g, x)
+    h = ctx.g ** x
     ck = CommitmentKey(ctx, h, HIDING)
     return ck, TrapdoorKey(ck, x)
 
@@ -172,7 +169,7 @@ def _check_message_range(ck: CommitmentKey, m: int) -> None:
 def commit(ck: CommitmentKey, m: int, r: int) -> Commitment:
     """c = g^m * h^r, with r reduced mod n."""
     _check_message_range(ck, m)
-    c = g_mul(g_pow(ck.context.g, m), g_pow(ck.h, r))
+    c = ck.context.g ** m * ck.h ** r
     return Commitment(c, key_fingerprint(ck))
 
 
@@ -187,8 +184,8 @@ def extract(xk: ExtractionKey, c: Commitment, bound: int = DEFAULT_EXTRACT_BOUND
         raise ValueError("extraction needs a binding-mode key")
     check_key(ck, c)
     ctx = ck.context
-    target = g_pow(c.c, xk.q).value
-    step = g_pow(ctx.g, xk.q).value
+    target = (c.c ** xk.q).value
+    step = (ctx.g ** xk.q).value
     # scan in payload space: commitment-sized loops, element objects would
     # dominate the cost
     acc = ctx._el_identity()
@@ -232,7 +229,7 @@ def _wi_prove_any_message(ck: CommitmentKey, m: int, r: int) -> WIProof:
     # unguarded variant: exercises the proof formula for arbitrary m,
     # which the correctness-identity checks need. (g^(2m-1) h^r)^r is
     # computed as g^((2m-1)r) h^(r^2), so only the fixed bases are raised.
-    pi = g_mul(g_pow(ck.context.g, (2 * m - 1) * r), g_pow(ck.h, r * r))
+    pi = ck.context.g ** ((2 * m - 1) * r) * ck.h ** (r * r)
     return WIProof(pi, key_fingerprint(ck))
 
 
@@ -245,7 +242,7 @@ def verify(ck: CommitmentKey, c: Commitment, pi: WIProof) -> bool:
     check_key(ck, c)
     if pi.key_fp != key_fingerprint(ck):
         raise KeyMismatch("proof was made under a different key")
-    shifted = g_mul(c.c, g_inv(ck.context.g))
+    shifted = c.c * ck.context.g.inverse()
     return pair(c.c, shifted) == pair(ck.h, pi.pi)
 
 
@@ -253,4 +250,4 @@ def homomorphic_combine(c1: Commitment, c2: Commitment) -> Commitment:
     """Product commitment; opens to (m1 + m2, r1 + r2)."""
     if c1.key_fp != c2.key_fp:
         raise KeyMismatch("commitments were made under different keys")
-    return Commitment(g_mul(c1.c, c2.c), c1.key_fp)
+    return Commitment(c1.c * c2.c, c1.key_fp)

@@ -25,7 +25,7 @@ from .commitment import (
     key_fingerprint,
 )
 from .errors import DeserializeError, InvalidKey, MalformedText, SecretKeyMismatch
-from .forgery import CensusResult, ClaimReport, ForgeryRecord, Verdict
+from .forgery import CensusResult, ForgeryRecord, Verdict
 from .groups import (
     CURVE,
     CurveContext,
@@ -138,16 +138,20 @@ def load_context(path: PathLike) -> GroupContext:
 def _context_from_fields(fields: Dict[str, str], where: str, n: int,
                          p: Optional[int] = None,
                          q: Optional[int] = None) -> GroupContext:
-    """The context a context file (n = p*q) or key file (n as written) describes."""
+    """The context a context file (n = p*q) or key file (n as written)
+    describes; a group the constructor refuses is a DeserializeError."""
     backend = _take(fields, "backend", where)
-    if backend == TRANSPARENT:
-        return TransparentContext(n, p, q)
-    if backend == CURVE:
-        fprime = _take_int(fields, "fprime", where)
-        cofactor = _take_int(fields, "cofactor", where)
-        g_text = _take(fields, "g", where)
-        with _naming(where, "g"):
-            return CurveContext(n, fprime, cofactor, point_from_text(g_text, fprime), p, q)
+    try:
+        if backend == TRANSPARENT:
+            return TransparentContext(n, p, q)
+        if backend == CURVE:
+            fprime = _take_int(fields, "fprime", where)
+            cofactor = _take_int(fields, "cofactor", where)
+            g_text = _take(fields, "g", where)
+            with _naming(where, "g"):
+                return CurveContext(n, fprime, cofactor, point_from_text(g_text, fprime), p, q)
+    except ValueError as exc:
+        raise DeserializeError(f"{where}: {exc}") from None
     raise MalformedText(f"{where}: unknown backend {backend!r}")
 
 
@@ -184,6 +188,12 @@ def save_extraction_key(path: PathLike, xk: ExtractionKey) -> None:
 
 def load_extraction_key(path: PathLike) -> ExtractionKey:
     fields, where = _read(path, "extraction-key")
+    mode = _take(fields, "mode", where)
+    if mode != BINDING:
+        # extract refuses a hiding key, but audit and census would take one
+        # and print verdicts that mean nothing
+        raise InvalidKey(f"{where}: field 'mode': an extraction key is "
+                         f"{BINDING}, got {mode!r}")
     n = _take_int(fields, "n", where)
     q = _take_int(fields, "q", where)
     if q <= 1 or n % q != 0:
@@ -292,10 +302,6 @@ def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
         c=Commitment(c, tag),
         pi=WIProof(pi, tag),
     )
-
-
-def claim_report_fields(report: ClaimReport) -> List[Tuple[str, str]]:
-    return [tuple(line.split("=", 1)) for line in report.lines()]
 
 
 def verdict_fields(verdict: Verdict) -> List[Tuple[str, str]]:

@@ -41,9 +41,6 @@ from .groups import (
     GElement,
     GroupContext,
     TRANSPARENT,
-    g_inv,
-    g_mul,
-    g_pow,
     is_in_subgroup_q,
 )
 
@@ -167,8 +164,8 @@ def forge(ck: CommitmentKey, p: int, q: int, beta1: Optional[int] = None,
     alpha2 = beta1 * mod_inverse(2 * k_a * q - 1, n) % n
     beta2 = alpha2 * alpha2 % n
     fp = key_fingerprint(ck)
-    c = Commitment(g_mul(g_pow(ctx.g, alpha1), g_pow(ck.h, alpha2)), fp)
-    pi = WIProof(g_mul(g_pow(ctx.g, beta1), g_pow(ck.h, beta2)), fp)
+    c = Commitment(ctx.g ** alpha1 * ck.h ** alpha2, fp)
+    pi = WIProof(ctx.g ** beta1 * ck.h ** beta2, fp)
     return ForgeryRecord(k_a, ell, alpha1, alpha2, beta1, beta2, c, pi)
 
 
@@ -182,8 +179,8 @@ def audit(q: int, ck: CommitmentKey, c: Commitment) -> Verdict:
     n = ck.context.n
     if n % q != 0:
         raise ValueError(f"q={q} does not divide the group order {n}")
-    c_pow_q = g_pow(c.c, q)
-    shifted_pow_q = g_pow(g_mul(c.c, g_inv(ck.context.g)), q)
+    c_pow_q = c.c ** q
+    shifted_pow_q = (c.c * ck.context.g.inverse()) ** q
     if c_pow_q.is_identity():
         label = COMMITS_TO_0
     elif shifted_pow_q.is_identity():
@@ -204,7 +201,7 @@ def claim_report(record: ForgeryRecord, ck: CommitmentKey, p: int, q: int) -> Cl
         raise ValueError(f"{p}*{q} is not the group order {n}")
     passes = verify(ck, record.c, record.pi)
     alpha1_is_bit = record.alpha1 % n in (0, 1)
-    g_alpha1 = g_pow(ck.context.g, record.alpha1)
+    g_alpha1 = ck.context.g ** record.alpha1
     return ClaimReport(
         verification_passes=passes,
         alpha1_is_bit=alpha1_is_bit,

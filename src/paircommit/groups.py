@@ -13,7 +13,9 @@ prime) with a symmetric bilinear map pair: G x G -> G_T.
 
 Both backends expose the same operations, and any protocol decision
 (accept/reject) must come out identically on both for the same
-(p, q, exponent) inputs.
+(p, q, exponent) inputs. The operations have one spelling: a * b,
+a ** e and a.inverse() in G and G_T, and pair(a, b); mixing elements of
+two contexts raises ContextMismatch. g_pow is the traced body of a ** e.
 
 A context may know the factorization of n (built by setup_*) or not
 (rebuilt from public key material); operations that need p or q take
@@ -56,13 +58,15 @@ class GElement:
         self.value = value
 
     def __mul__(self, other: "GElement") -> "GElement":
-        return g_mul(self, other)
+        _same_group(self, other)
+        return GElement(self.group, self.group._el_mul(self.value, other.value))
 
     def __pow__(self, e: int) -> "GElement":
+        # looked up by name at each call, so a wrapper on groups.g_pow sees it
         return g_pow(self, e)
 
     def inverse(self) -> "GElement":
-        return g_inv(self)
+        return GElement(self.group, self.group._el_inv(self.value))
 
     def is_identity(self) -> bool:
         return self.value == self.group._el_identity()
@@ -92,13 +96,14 @@ class GTElement:
         self.value = value
 
     def __mul__(self, other: "GTElement") -> "GTElement":
-        return gt_mul(self, other)
+        _same_group(self, other)
+        return GTElement(self.group, self.group._gt_mul(self.value, other.value))
 
     def __pow__(self, e: int) -> "GTElement":
-        return gt_pow(self, e)
+        return GTElement(self.group, self.group._gt_pow(self.value, e))
 
     def inverse(self) -> "GTElement":
-        return gt_inv(self)
+        return GTElement(self.group, self.group._gt_inv(self.value))
 
     def is_identity(self) -> bool:
         return self.value == self.group._gt_identity()
@@ -526,30 +531,11 @@ def _same_group(a, b) -> None:
             f"vs {b.group.backend}/n={b.group.n}")
 
 
-def g_mul(a: GElement, b: GElement) -> GElement:
-    _same_group(a, b)
-    return GElement(a.group, a.group._el_mul(a.value, b.value))
-
-
-def g_inv(a: GElement) -> GElement:
-    return GElement(a.group, a.group._el_inv(a.value))
-
-
 def g_pow(a: GElement, e: int) -> GElement:
+    """a ** e, the body of GElement.__pow__. Write a ** e; this stays a
+    module function because the benchmark's tracer wraps only module
+    functions and reports every power as groups.g_pow."""
     return GElement(a.group, a.group._el_pow(a.value, e))
-
-
-def gt_mul(a: GTElement, b: GTElement) -> GTElement:
-    _same_group(a, b)
-    return GTElement(a.group, a.group._gt_mul(a.value, b.value))
-
-
-def gt_inv(a: GTElement) -> GTElement:
-    return GTElement(a.group, a.group._gt_inv(a.value))
-
-
-def gt_pow(a: GTElement, e: int) -> GTElement:
-    return GTElement(a.group, a.group._gt_pow(a.value, e))
 
 
 def pair(a: GElement, b: GElement) -> GTElement:
@@ -561,7 +547,7 @@ def is_in_subgroup_q(a: GElement, q: int) -> bool:
     """True iff a^q is the identity, i.e. a lies in the order-q subgroup."""
     if a.group.n % q != 0:
         raise ValueError(f"q={q} does not divide the group order {a.group.n}")
-    return g_pow(a, q).is_identity()
+    return (a ** q).is_identity()
 
 
 def element_from_text(text: str, ctx: GroupContext) -> GElement:

@@ -27,7 +27,6 @@ def run_selftest(seed: int = 1, trials: int = 100) -> List[Result]:
 
     check("algebra.ext_gcd", lambda: _ext_gcd_identity(rng, trials))
     check("algebra.mod_inverse", lambda: _mod_inverse_roundtrip(rng, trials))
-    check("algebra.mod_exp", lambda: _mod_exp_vs_naive(rng, trials))
     check("algebra.gen_prime", lambda: _gen_prime_is_prime(rng))
 
     for p, q in ((5, 7), (3, 5)):
@@ -76,17 +75,6 @@ def _mod_inverse_roundtrip(rng, trials):
             continue
         inv = arith.mod_inverse(a, n)
         assert inv * a % n == 1 and 1 <= inv < n
-
-
-def _mod_exp_vs_naive(rng, trials):
-    for _ in range(trials):
-        base = rng.randrange(0, 1000)
-        exp = rng.randrange(0, 2 ** 10)
-        mod = rng.randrange(2, 1000)
-        naive = 1
-        for _ in range(exp):
-            naive = naive * base % mod
-        assert arith.mod_exp(base, exp, mod) == naive
 
 
 def _gen_prime_is_prime(rng):

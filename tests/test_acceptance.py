@@ -23,11 +23,7 @@ from paircommit import (
     commit,
     extract,
     forge,
-    g_inv,
-    g_mul,
     gen_prime,
-    gt_mul,
-    gt_pow,
     hiding_key_from_exponent,
     hiding_keygen,
     is_in_subgroup_q,
@@ -97,8 +93,8 @@ def test_criterion_2_correctness_identity(t35, c35, contexts16, rng):
                 r = rng.randrange(ctx.n)
                 c = commit(ck, m, r)
                 pi = _wi_prove_any_message(ck, m, r)
-                lhs = pair(c.c, g_mul(c.c, g_inv(ctx.g)))
-                rhs = gt_mul(gt_pow(ctx.gt, m * (m - 1)), pair(ck.h, pi.pi))
+                lhs = pair(c.c, c.c * ctx.g.inverse())
+                rhs = ctx.gt ** (m * (m - 1)) * pair(ck.h, pi.pi)
                 assert lhs == rhs
                 assert verify(ck, c, pi) == (m * (m - 1) % ctx.n == 0)
 
@@ -223,7 +219,7 @@ def test_criterion_7_backend_cross_check(pair16, contexts16, rng):
                 c = commit(ck, m, r)
                 pi = wi_prove(ck, m, r)
                 fp = key_fingerprint(ck)
-                tampered = WIProof(g_mul(pi.pi, ctx.g), fp)
+                tampered = WIProof(pi.pi * ctx.g, fp)
                 rec = forge(ck, p, q, beta1=beta1)
                 hk, _ = hiding_key_from_exponent(ctx, x)
                 hc = commit(hk, m, r)

@@ -4,10 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from paircommit import NotInvertible, ext_gcd, gen_prime, is_probable_prime, mod_exp, mod_inverse
+from paircommit import NotInvertible, ext_gcd, gen_prime, is_probable_prime, mod_inverse
 
 
 class TestExtGcd:
@@ -63,27 +63,6 @@ class TestModInverse:
         inv = mod_inverse(a, n)
         assert 1 <= inv < n
         assert inv * a % n == 1
-
-
-class TestModExp:
-    def test_worked_examples(self):
-        assert mod_exp(2, 10, 1000) == 24
-        assert mod_exp(7, 0, 13) == 1
-        assert mod_exp(3, 35, 35) == 12
-
-    def test_bad_preconditions(self):
-        with pytest.raises(ValueError):
-            mod_exp(2, -1, 7)
-        with pytest.raises(ValueError):
-            mod_exp(2, 3, 0)
-
-    @given(st.integers(0, 500), st.integers(0, 2 ** 10 - 1), st.integers(2, 500))
-    @settings(max_examples=60)
-    def test_matches_naive_repeated_multiplication(self, base, exp, mod):
-        naive = 1
-        for _ in range(exp):
-            naive = naive * base % mod
-        assert mod_exp(base, exp, mod) == naive
 
 
 class TestGenPrime:

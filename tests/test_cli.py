@@ -458,6 +458,30 @@ class TestKeyChecks:
                 assert err.startswith(f"error: {xk}: field 'h':"), err
         assert not forgery.exists()
 
+    @pytest.mark.parametrize("backend", [TRANSPARENT, CURVE])
+    def test_hiding_extraction_key_is_exit_2(self, capsys, workdir, backend):
+        """At (5, 7), a hiding key file relabelled kind=extraction-key with
+        q=7 in place of x=1 used to load: audit printed verdict=Invalid and
+        census accepting_c_Invalid=21, both with exit 0."""
+        ctx, _ = _make_params(capsys, workdir, backend=backend)
+        ck, xk = workdir / "ck.txt", workdir / "xk.txt"
+        run(capsys, "keygen", "--mode", "hiding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        c = workdir / "c.txt"
+        run(capsys, "commit", "--ck", str(ck), "--m", "0", "--r", "3", "--out", str(c))
+        _set_field(xk, "kind", "extraction-key")
+        xk.write_text(xk.read_text().replace(f"x={_field(xk, 'x')}\n", "q=7\n"))
+        forgery, census = workdir / "forgery.txt", workdir / "census.txt"
+        for argv in (("audit", "--secret", str(xk), "--ck", str(ck), "--commitment", str(c)),
+                     ("census", "--ck", str(ck), "--secret", str(xk), "--out", str(census)),
+                     ("forge", "--ck", str(ck), "--secret", str(xk), "--beta1", "2",
+                      "--out", str(forgery)),
+                     ("extract", "--secret", str(xk), "--commitment", str(c))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {xk}: field 'mode':"), err
+        assert not forgery.exists() and not census.exists()
+
     def test_reported_silent_extraction(self, capsys, workdir):
         """At (5, 7), h=G:1 in the extraction key and g=G:3 in the public
         key used to load, and extract then printed m=3 with exit 0."""

@@ -3,6 +3,8 @@
 import pytest
 
 from paircommit import (
+    DeserializeError,
+    InvalidKey,
     MalformedText,
     OffCurvePoint,
     Opening,
@@ -99,6 +101,19 @@ class TestKeyFiles:
         assert loaded.x == 3
         assert key_fingerprint(loaded.ck) == key_fingerprint(ck)
 
+    def test_hiding_extraction_key_rejected(self, tmp_path, t35, c35, backend):
+        """A hiding key relabelled as an extraction key used to load, and
+        audit and census then printed verdicts for it with exit 0."""
+        ctx = t35 if backend == "transparent" else c35
+        _, tk = hiding_key_from_exponent(ctx, 1)
+        path = tmp_path / "xk.txt"
+        fileio.save_trapdoor_key(path, tk)
+        path.write_text(path.read_text().replace("kind=trapdoor-key", "kind=extraction-key")
+                        .replace("x=1\n", "q=7\n"))
+        with pytest.raises(InvalidKey) as info:
+            fileio.load_extraction_key(path)
+        assert str(info.value).startswith(f"{path}: field 'mode':")
+
     @pytest.mark.parametrize("x, message", [(2, "g^2 is not the key's h"),
                                             (5, "x=5 shares a factor with n=35")],
                              ids=["not-log-of-h", "shares-factor"])
@@ -193,13 +208,19 @@ class TestMalformedFields:
         ("commitment", "c", "G:1,1", OffCurvePoint),
         ("proof", "pi", "H:1", MalformedText),
         ("forgery", "c", "G:139,0", MalformedText),
+        # the group itself is invalid: the context's message, after the path
+        ("context", "p", "4", DeserializeError),
+        ("key", "n", "34", DeserializeError),
+        ("extraction-key", "q", "35", DeserializeError),
     ])
     def test_curve(self, tmp_path, c35, kind, field, bad, error):
-        ck, _ = binding_key_from_exponent(c35, 3)
+        ck, xk = binding_key_from_exponent(c35, 3)
         path = tmp_path / f"{kind}.txt"
         save, load = {
             "context": (lambda: fileio.save_context(path, c35), fileio.load_context),
             "key": (lambda: fileio.save_commitment_key(path, ck), fileio.load_commitment_key),
+            "extraction-key": (lambda: fileio.save_extraction_key(path, xk),
+                               fileio.load_extraction_key),
             "commitment": (lambda: fileio.save_commitment(path, commit(ck, 1, 2), ck),
                            lambda p: fileio.load_commitment(p, ck)),
             "proof": (lambda: fileio.save_proof(path, wi_prove(ck, 1, 2), ck),
@@ -212,7 +233,8 @@ class TestMalformedFields:
         with pytest.raises(error) as info:
             load(path)
         assert type(info.value) is error
-        assert str(info.value).startswith(f"{path}: field '{field}':")
+        named = f"{path}: field '{field}':" if error is not DeserializeError else f"{path}: "
+        assert str(info.value).startswith(named)
 
     @pytest.mark.parametrize("field, bad", [("c", "G:35"), ("c", "G:-1"), ("h", "G:x")])
     def test_transparent(self, tmp_path, t35, field, bad):

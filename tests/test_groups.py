@@ -9,15 +9,18 @@ from paircommit import (
     MalformedText,
     OffCurvePoint,
     WrongOrderElement,
+    audit,
+    binding_key_from_exponent,
+    commit,
     element_from_text,
-    g_mul,
-    g_pow,
     gt_element_from_text,
     is_in_subgroup_q,
     pair,
     setup_curve,
     setup_transparent,
+    wi_prove,
 )
+from paircommit import groups
 from paircommit.curve import ec_mul, is_on_curve, random_point
 
 
@@ -76,7 +79,7 @@ class TestOperations:
         assert (t35.g ** 0).is_identity()
 
     def test_mul_wraps_mod_n(self, t35):
-        assert g_mul(t35.g ** 31, t35.g ** 30) == t35.g ** 26
+        assert t35.g ** 31 * t35.g ** 30 == t35.g ** 26
 
     def test_curve_pow_order_is_identity(self, c35):
         assert (c35.g ** 35).is_identity()
@@ -88,15 +91,38 @@ class TestOperations:
 
     def test_inverse(self, c35):
         el = c35.g ** 12
-        assert g_mul(el, el.inverse()).is_identity()
+        assert (el * el.inverse()).is_identity()
 
     def test_cross_context_mul_rejected(self, t35, t15):
         with pytest.raises(ContextMismatch):
-            g_mul(t35.g, t15.g)
+            t35.g * t15.g
+
+    def test_cross_context_gt_mul_rejected(self, t35, t15, c35):
+        for other in (t15, c35):
+            with pytest.raises(ContextMismatch):
+                t35.gt * other.gt
 
     def test_cross_context_pair_rejected(self, t35, c35):
         with pytest.raises(ContextMismatch):
             pair(t35.g, c35.g)
+
+    def test_every_power_calls_g_pow(self, t35, monkeypatch):
+        """The benchmark counts powers as calls of groups.g_pow; a ** e that
+        skipped it would read 0 there and fail nothing else."""
+        real, calls = groups.g_pow, []
+
+        def counting(a, e):
+            calls.append(e)
+            return real(a, e)
+
+        monkeypatch.setattr(groups, "g_pow", counting)
+        ck, _ = binding_key_from_exponent(t35, 3)
+        c = commit(ck, 1, 2)
+        for op, count in ((lambda: commit(ck, 1, 2), 2), (lambda: wi_prove(ck, 1, 2), 2),
+                          (lambda: audit(7, ck, c), 2), (lambda: t35.g ** 5, 1)):
+            calls.clear()
+            op()
+            assert len(calls) == count
 
 
 class TestPairing:
@@ -114,7 +140,7 @@ class TestPairing:
         for _ in range(100):
             s, t = rng.randrange(35), rng.randrange(35)
             a, b = rng.randrange(35), rng.randrange(35)
-            lhs = pair(g_pow(ctx.g, a * s), g_pow(ctx.g, b * t))
+            lhs = pair(ctx.g ** (a * s), ctx.g ** (b * t))
             rhs = pair(ctx.g ** a, ctx.g ** b) ** (s * t)
             assert lhs == rhs
 
