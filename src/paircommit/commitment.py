@@ -188,7 +188,7 @@ def extract(xk: ExtractionKey, c: Commitment, bound: int = DEFAULT_EXTRACT_BOUND
     step = (ctx.g ** xk.q).value
     # scan in payload space: commitment-sized loops, element objects would
     # dominate the cost
-    acc = ctx._el_identity()
+    acc = ctx._el_identity
     mul = ctx._el_mul
     for m in range(bound):
         if acc == target:

@@ -33,6 +33,7 @@ from .groups import (
     GroupContext,
     TRANSPARENT,
     TransparentContext,
+    _parse_int,
     element_from_text,
     point_from_text,
 )
@@ -64,7 +65,11 @@ def parse_kv(text: str, where: str = "input") -> Dict[str, str]:
 
 
 def read_kv(path: PathLike) -> Dict[str, str]:
-    return parse_kv(Path(path).read_text(encoding="ascii"), where=str(path))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise MalformedText(f"{path}: byte {exc.start} is not ASCII") from None
+    return parse_kv(text, where=str(path))
 
 
 def _read(path: PathLike, kind: str) -> Tuple[Dict[str, str], str]:
@@ -82,14 +87,6 @@ def _take(fields: Dict[str, str], key: str, where: str) -> str:
     return fields[key]
 
 
-def _take_int(fields: Dict[str, str], key: str, where: str) -> int:
-    raw = _take(fields, key, where)
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise MalformedText(f"{where}: field {key!r} is not a decimal integer") from None
-
-
 @contextmanager
 def _naming(where: str, key: str):
     """Prefix a DeserializeError with the file and field it came from."""
@@ -97,6 +94,12 @@ def _naming(where: str, key: str):
         yield
     except DeserializeError as exc:
         raise type(exc)(f"{where}: field {key!r}: {exc}") from None
+
+
+def _take_int(fields: Dict[str, str], key: str, where: str) -> int:
+    raw = _take(fields, key, where)
+    with _naming(where, key):
+        return _parse_int(raw, raw)
 
 
 def _take_element(fields: Dict[str, str], key: str, where: str,

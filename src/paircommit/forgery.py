@@ -225,7 +225,7 @@ def accepting_census(ctx: GroupContext, ck: CommitmentKey) -> CensusResult:
     n = ctx.n
     if n > CENSUS_MAX_ORDER:
         raise ValueError(f"census is quadratic in n; refusing n={n} > {CENSUS_MAX_ORDER}")
-    if not ck.context.same_group(ctx):
+    if ck.context != ctx:
         raise KeyMismatch("key does not live on the given context")
     q = ctx.q
     h_exp = ck.h.value

@@ -1,6 +1,6 @@
 """Composite-order symmetric bilinear groups, in two interchangeable backends.
 
-A GroupContext realizes cyclic groups G and G_T of order n = p*q (p < q
+A context realizes cyclic groups G and G_T of order n = p*q (p < q
 prime) with a symmetric bilinear map pair: G x G -> G_T.
 
 * transparent backend: elements ARE their discrete logs. The group law
@@ -11,11 +11,13 @@ prime) with a symmetric bilinear map pair: G x G -> G_T.
   y^2 = x^3 + x over F_fp, fp = cofactor*n - 1 prime, with the
   distortion-map Tate pairing. A genuine pairing at desk scale.
 
-Both backends expose the same operations, and any protocol decision
-(accept/reject) must come out identically on both for the same
-(p, q, exponent) inputs. The operations have one spelling: a * b,
-a ** e and a.inverse() in G and G_T, and pair(a, b); mixing elements of
-two contexts raises ContextMismatch. g_pow is the traced body of a ** e.
+Both backends define the same payload operations, and any protocol
+decision (accept/reject) must come out identically on both for the same
+(p, q, exponent) inputs. GElement and GTElement share one base. The
+operations have one spelling: a * b, a ** e and a.inverse() in G and
+G_T, and pair(a, b); g_pow is the traced body of a ** e. Contexts compare
+with ==. Mixing two contexts raises ContextMismatch, and mixing G with
+G_T raises TypeError.
 
 A context may know the factorization of n (built by setup_*) or not
 (rebuilt from public key material); operations that need p or q take
@@ -48,14 +50,32 @@ TRANSPARENT = "transparent"
 CURVE = "curve"
 
 
-class GElement:
-    """Element of G. Payload: exponent (transparent) or affine point (curve)."""
+class _Element:
+    """An element of its context's G or G_T, held as the backend's payload."""
 
     __slots__ = ("group", "value")
 
     def __init__(self, group: "GroupContext", value):
         self.group = group
         self.value = value
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.value == other.value and (
+            self.group is other.group or self.group == other.group)
+
+    def __hash__(self):
+        return hash((self.group.backend, self.group.n, self.value))
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self.to_text()}>"
+
+
+class GElement(_Element):
+    """Element of G. Payload: exponent (transparent) or affine point (curve)."""
+
+    __slots__ = ()
 
     def __mul__(self, other: "GElement") -> "GElement":
         _same_group(self, other)
@@ -69,31 +89,16 @@ class GElement:
         return GElement(self.group, self.group._el_inv(self.value))
 
     def is_identity(self) -> bool:
-        return self.value == self.group._el_identity()
+        return self.value == self.group._el_identity
 
     def to_text(self) -> str:
         return self.group._el_to_text(self.value)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GElement):
-            return NotImplemented
-        return self.group.same_group(other.group) and self.value == other.value
 
-    def __hash__(self):
-        return hash((self.group.backend, self.group.n, self.value))
+class GTElement(_Element):
+    """Element of the target group G_T. Payload: exponent or F_fp2 value."""
 
-    def __repr__(self):
-        return f"<GElement {self.to_text()}>"
-
-
-class GTElement:
-    """Element of the target group G_T."""
-
-    __slots__ = ("group", "value")
-
-    def __init__(self, group: "GroupContext", value):
-        self.group = group
-        self.value = value
+    __slots__ = ()
 
     def __mul__(self, other: "GTElement") -> "GTElement":
         _same_group(self, other)
@@ -106,28 +111,24 @@ class GTElement:
         return GTElement(self.group, self.group._gt_inv(self.value))
 
     def is_identity(self) -> bool:
-        return self.value == self.group._gt_identity()
+        return self.value == self.group._gt_identity
 
     def to_text(self) -> str:
         return self.group._gt_to_text(self.value)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GTElement):
-            return NotImplemented
-        return self.group.same_group(other.group) and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.group.backend, self.group.n, "gt", self.value))
-
-    def __repr__(self):
-        return f"<GTElement {self.to_text()}>"
-
 
 class GroupContext:
-    """Common interface of both backends. Immutable once constructed,
-    apart from the curve backend's caches, which change no value."""
+    """What both backends share. Immutable once constructed, apart from
+    the curve backend's caches, which change no value.
+
+    A backend sets g and gt, and defines __eq__ (true for the same group;
+    __hash__ is set again beside it), the class constants _el_identity
+    and _gt_identity, and the payload operations _el_mul, _el_inv,
+    _el_pow, _gt_mul, _gt_inv, _gt_pow, _pair and _{el,gt}_{to,from}_text.
+    """
 
     backend: str = ""
+    g: GElement  # set by the subclass
     gt: GTElement  # pair(g, g), set or computed by the subclass
 
     def __init__(self, n: int, p: Optional[int], q: Optional[int]):
@@ -147,7 +148,9 @@ class GroupContext:
         self.n = n
         self.p = p
         self.q = q
-        self.g: GElement = None  # set by subclass
+
+    def __hash__(self):
+        return hash((self.backend, self.n))
 
     @property
     def knows_factorization(self) -> bool:
@@ -155,78 +158,31 @@ class GroupContext:
 
     @property
     def identity(self) -> GElement:
-        return GElement(self, self._el_identity())
-
-    @property
-    def gt_identity(self) -> GTElement:
-        return GTElement(self, self._gt_identity())
+        return GElement(self, self._el_identity)
 
     def element(self, value) -> GElement:
         return GElement(self, value)
 
-    def same_group(self, other: "GroupContext") -> bool:
-        raise NotImplementedError
-
     def fix(self, el: GElement) -> None:
         """Mark el as a base that is raised or paired again and again, such
         as a key's h, so the context may keep precomputation for it."""
-
-    # payload-level operations, implemented per backend
-    def _el_identity(self):
-        raise NotImplementedError
-
-    def _el_mul(self, a, b):
-        raise NotImplementedError
-
-    def _el_inv(self, a):
-        raise NotImplementedError
-
-    def _el_pow(self, a, e: int):
-        raise NotImplementedError
-
-    def _gt_identity(self):
-        raise NotImplementedError
-
-    def _gt_mul(self, a, b):
-        raise NotImplementedError
-
-    def _gt_inv(self, a):
-        raise NotImplementedError
-
-    def _gt_pow(self, a, e: int):
-        raise NotImplementedError
-
-    def _pair(self, a, b):
-        raise NotImplementedError
-
-    def _el_to_text(self, a) -> str:
-        raise NotImplementedError
-
-    def _el_from_text(self, text: str):
-        raise NotImplementedError
-
-    def _gt_to_text(self, a) -> str:
-        raise NotImplementedError
-
-    def _gt_from_text(self, text: str):
-        raise NotImplementedError
 
 
 class TransparentContext(GroupContext):
     """Exponent-arithmetic model of the group; discrete logs are the payload."""
 
     backend = TRANSPARENT
+    _el_identity = _gt_identity = 0
 
     def __init__(self, n: int, p: Optional[int] = None, q: Optional[int] = None):
         super().__init__(n, p, q)
         self.g = GElement(self, 1 % n)
         self.gt = GTElement(self, 1 % n)
 
-    def same_group(self, other: GroupContext) -> bool:
-        return other.backend == TRANSPARENT and other.n == self.n
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TransparentContext) and other.n == self.n
 
-    def _el_identity(self):
-        return 0
+    __hash__ = GroupContext.__hash__
 
     def _el_mul(self, a, b):
         return (a + b) % self.n
@@ -237,10 +193,7 @@ class TransparentContext(GroupContext):
     def _el_pow(self, a, e):
         return a * (e % self.n) % self.n
 
-    _gt_identity = _el_identity
-    _gt_mul = _el_mul
-    _gt_inv = _el_inv
-    _gt_pow = _el_pow
+    _gt_mul, _gt_inv, _gt_pow = _el_mul, _el_inv, _el_pow
 
     def _pair(self, a, b):
         return a * b % self.n
@@ -248,9 +201,8 @@ class TransparentContext(GroupContext):
     def _el_to_text(self, a) -> str:
         return f"G:{a}"
 
-    def _el_from_text(self, text: str):
-        body = _strip_prefix(text, "G:")
-        e = _parse_int(body, text)
+    def _el_from_text(self, text: str, prefix: str = "G:"):
+        e = _parse_int(_strip_prefix(text, prefix), text)
         if not 0 <= e < self.n:
             raise MalformedText(
                 f"exponent {e} out of range [0, {self.n}) in {text!r}")
@@ -260,12 +212,7 @@ class TransparentContext(GroupContext):
         return f"GT:{a}"
 
     def _gt_from_text(self, text: str):
-        body = _strip_prefix(text, "GT:")
-        e = _parse_int(body, text)
-        if not 0 <= e < self.n:
-            raise MalformedText(
-                f"exponent {e} out of range [0, {self.n}) in {text!r}")
-        return e
+        return self._el_from_text(text, "GT:")
 
 
 class _FixedBase:
@@ -287,8 +234,8 @@ class CurveContext(GroupContext):
     """Order-n subgroup of the supersingular curve y^2 = x^3 + x over F_fp."""
 
     backend = CURVE
-    # F_fp2 is always F_fp[i]/(i^2 + 1); fp = 3 (mod 4) keeps it irreducible
-    extension_poly = "i^2+1"
+    _el_identity = None  # the point at infinity
+    _gt_identity = curve.F2_ONE
 
     def __init__(self, n: int, field_prime: int, cofactor: int,
                  g_point: curve.Point, p: Optional[int] = None,
@@ -333,14 +280,13 @@ class CurveContext(GroupContext):
         if el.value is not None:
             self._fixed.setdefault(el.value, _FixedBase())
 
-    def same_group(self, other: GroupContext) -> bool:
-        return (other.backend == CURVE and other.n == self.n
+    def __eq__(self, other) -> bool:
+        # the constructor fixes the cofactor as (field_prime + 1) / n
+        return (isinstance(other, CurveContext) and other.n == self.n
                 and other.field_prime == self.field_prime
-                and other.cofactor == self.cofactor
                 and other.g.value == self.g.value)
 
-    def _el_identity(self):
-        return None
+    __hash__ = GroupContext.__hash__
 
     def _el_mul(self, a, b):
         return curve.ec_add(self.field_prime, a, b)
@@ -361,9 +307,6 @@ class CurveContext(GroupContext):
         if fixed.powers == 2:
             fixed.table = curve.doubling_table(fp, a, n.bit_length())
         return curve.ec_mul(fp, a, e, fixed.table)
-
-    def _gt_identity(self):
-        return curve.F2_ONE
 
     def _gt_mul(self, a, b):
         return curve.f2_mul(self.field_prime, a, b)
@@ -411,16 +354,8 @@ class CurveContext(GroupContext):
         return f"GT:{a[0]},{a[1]}"
 
     def _gt_from_text(self, text: str):
-        body = _strip_prefix(text, "GT:")
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise MalformedText(f"expected GT:<a>,<b>, got {text!r}")
-        a = _parse_int(parts[0], text)
-        b = _parse_int(parts[1], text)
         fp = self.field_prime
-        if not (0 <= a < fp and 0 <= b < fp):
-            raise MalformedText(f"coordinates out of field range in {text!r}")
-        val = (a, b)
+        val = _coordinates(_strip_prefix(text, "GT:"), text, fp, "GT:<a>,<b>")
         if val == curve.F2_ZERO:
             raise MalformedText(f"zero is not a group element: {text!r}")
         if curve.f2_pow(fp, val, self.n) != curve.F2_ONE:
@@ -438,11 +373,15 @@ def point_from_text(text: str, field_prime: int) -> Optional[curve.Point]:
     body = _strip_prefix(text.strip(), "G:")
     if body == "inf":
         return None
+    return _coordinates(body, text, field_prime, "G:<x>,<y> or G:inf")
+
+
+def _coordinates(body: str, text: str, field_prime: int, form: str):
+    """The pair of integers in [0, field_prime) that body spells as x,y."""
     parts = body.split(",")
     if len(parts) != 2:
-        raise MalformedText(f"expected G:<x>,<y> or G:inf, got {text!r}")
-    x = _parse_int(parts[0], text)
-    y = _parse_int(parts[1], text)
+        raise MalformedText(f"expected {form}, got {text!r}")
+    x, y = _parse_int(parts[0], text), _parse_int(parts[1], text)
     if not (0 <= x < field_prime and 0 <= y < field_prime):
         raise MalformedText(f"coordinates out of field range in {text!r}")
     return (x, y)
@@ -455,10 +394,15 @@ def _strip_prefix(text: str, prefix: str) -> str:
 
 
 def _parse_int(part: str, whole: str) -> int:
+    """The integer that part spells as str(int) does, and no other spelling:
+    no sign but a leading '-', no leading zero, space or underscore."""
     try:
-        return int(part, 10)
+        value = int(part, 10)
     except ValueError:
-        raise MalformedText(f"non-decimal integer in {whole!r}") from None
+        value = None
+    if value is None or str(value) != part:
+        raise MalformedText(f"non-canonical decimal integer in {whole!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +469,9 @@ def _sample_generator(fp: int, cofactor: int, n: int, p: int, q: int,
 # operations
 
 def _same_group(a, b) -> None:
-    if not a.group.same_group(b.group):
+    if type(a) is not type(b):
+        raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
+    if a.group is not b.group and a.group != b.group:
         raise ContextMismatch(
             f"elements from different contexts: {a.group.backend}/n={a.group.n} "
             f"vs {b.group.backend}/n={b.group.n}")
@@ -539,6 +485,8 @@ def g_pow(a: GElement, e: int) -> GElement:
 
 
 def pair(a: GElement, b: GElement) -> GTElement:
+    if type(a) is not GElement:
+        raise TypeError(f"pair takes elements of G, got {type(a).__name__}")
     _same_group(a, b)
     return GTElement(a.group, a.group._pair(a.value, b.value))
 

@@ -363,6 +363,7 @@ class TestHonestPipeline:
         ("ck.txt", "g", "G:1,1"),
         ("c.txt", "c", "G:12,x"),
         ("pi.txt", "pi", "pi"),
+        ("ck.txt", "n", "+35"),
     ])
     def test_malformed_element_is_exit_2(self, capsys, workdir, name, field, bad):
         ctx, _ = _make_params(capsys, workdir, backend=CURVE)
@@ -642,6 +643,17 @@ class TestErrors:
                            "--backend", "curve", "--seed", "1",
                            "--out", str(workdir / "ctx.txt"))
         assert code == 2 and "field prime" in err
+
+    def test_non_ascii_file_is_exit_2(self, capsys, workdir):
+        ctx, _ = _make_params(capsys, workdir)
+        ck, xk = workdir / "ck.txt", workdir / "xk.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        ck.write_bytes(ck.read_bytes().replace(b"binding", b"bind\xe9ng"))
+        code, out, err = run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2",
+                             "--out", str(workdir / "c.txt"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {ck}: byte ")
 
     def test_mismatched_secret_and_key(self, capsys, workdir):
         ctx, _ = _make_params(capsys, workdir)

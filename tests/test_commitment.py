@@ -29,6 +29,7 @@ from paircommit import (
     verify,
     wi_prove,
 )
+from paircommit import fileio
 from paircommit.commitment import _wi_prove_any_message
 
 
@@ -89,11 +90,23 @@ class TestFingerprint:
         want = hashlib.sha256(b"binding|transparent|35|G:1|G:15").hexdigest()[:16]
         assert key_fingerprint(ck) == want
 
-    @pytest.mark.parametrize("backend", ["transparent", "curve"])
-    def test_equal_keys_built_apart(self, backend, t35, c35):
+    @pytest.mark.parametrize("backend, source", [
+        ("transparent", "built"), ("curve", "built"),
+        ("transparent", "loaded"), ("curve", "loaded"),
+    ], ids=["transparent", "curve", "transparent-loaded", "curve-loaded"])
+    def test_equal_keys_built_apart(self, backend, source, t35, c35, tmp_path):
+        """A key loaded twice from one file used to be unequal to itself, and
+        to the key it was saved from: their contexts compared by identity."""
         ctx = t35 if backend == "transparent" else c35
         a, _ = binding_key_from_exponent(ctx, 3)
-        b, _ = binding_key_from_exponent(ctx, 3)
+        if source == "built":
+            b, _ = binding_key_from_exponent(ctx, 3)
+        else:
+            path = tmp_path / "ck.txt"
+            fileio.save_commitment_key(path, a)
+            saved = a
+            a, b = fileio.load_commitment_key(path), fileio.load_commitment_key(path)
+            assert a == saved and hash(a) == hash(saved)
         assert a is not b
         assert a == b and hash(a) == hash(b)
         assert key_fingerprint(a) == key_fingerprint(b)

@@ -36,20 +36,32 @@ class TestKv:
         with pytest.raises(MalformedText):
             fileio.parse_kv("a=1\na=2")
 
+    def test_non_ascii_byte(self, tmp_path, t35):
+        """A non-ASCII byte used to escape as UnicodeDecodeError, which is no
+        DeserializeError."""
+        ck, _ = binding_key_from_exponent(t35, 3)
+        path = tmp_path / "ck.txt"
+        fileio.save_commitment_key(path, ck)
+        data = path.read_bytes().replace(b"binding", b"bind\xe9ng")
+        path.write_bytes(data)
+        with pytest.raises(MalformedText) as info:
+            fileio.load_commitment_key(path)
+        assert str(info.value) == f"{path}: byte {data.index(0xE9)} is not ASCII"
+
 
 class TestContextFiles:
     def test_transparent_roundtrip(self, tmp_path, t35):
         path = tmp_path / "ctx.txt"
         fileio.save_context(path, t35)
         loaded = fileio.load_context(path)
-        assert loaded.same_group(t35)
+        assert loaded == t35
         assert (loaded.p, loaded.q) == (5, 7)
 
     def test_curve_roundtrip(self, tmp_path, c35):
         path = tmp_path / "ctx.txt"
         fileio.save_context(path, c35)
         loaded = fileio.load_context(path)
-        assert loaded.same_group(c35)
+        assert loaded == c35
         assert loaded.field_prime == 139
         assert loaded.g == c35.g
 
@@ -212,6 +224,10 @@ class TestMalformedFields:
         ("context", "p", "4", DeserializeError),
         ("key", "n", "34", DeserializeError),
         ("extraction-key", "q", "35", DeserializeError),
+        # an integer spelled other than str(int) does
+        ("context", "p", "05", MalformedText),
+        ("key", "fprime", "+139", MalformedText),
+        ("commitment", "c", "G:+1,1", MalformedText),
     ])
     def test_curve(self, tmp_path, c35, kind, field, bad, error):
         ck, xk = binding_key_from_exponent(c35, 3)
@@ -236,7 +252,12 @@ class TestMalformedFields:
         named = f"{path}: field '{field}':" if error is not DeserializeError else f"{path}: "
         assert str(info.value).startswith(named)
 
-    @pytest.mark.parametrize("field, bad", [("c", "G:35"), ("c", "G:-1"), ("h", "G:x")])
+    @pytest.mark.parametrize("field, bad", [
+        ("c", "G:35"), ("c", "G:-1"), ("h", "G:x"),
+        # non-canonical integers, which used to load and re-save differently
+        ("n", "+35"), pytest.param("n", " 35", id="n-space35"), ("n", "3_5"), ("n", "035"),
+        ("h", "G:+5"), ("h", "G:05"), ("h", "G:1_0"),
+    ])
     def test_transparent(self, tmp_path, t35, field, bad):
         ck, _ = binding_key_from_exponent(t35, 3)
         ck_path, c_path = tmp_path / "ck.txt", tmp_path / "c.txt"

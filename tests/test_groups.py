@@ -102,6 +102,17 @@ class TestOperations:
             with pytest.raises(ContextMismatch):
                 t35.gt * other.gt
 
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_g_and_gt_do_not_mix(self, backend, t35, c35):
+        """G and G_T elements of one context used to combine silently: on the
+        transparent backend t35.g * t35.gt was G:2."""
+        ctx = t35 if backend == "transparent" else c35
+        g, gt = ctx.g, ctx.gt
+        for op in (lambda: g * gt, lambda: gt * g, lambda: pair(g, gt),
+                   lambda: pair(gt, g), lambda: pair(gt, gt)):
+            with pytest.raises(TypeError):
+                op()
+
     def test_cross_context_pair_rejected(self, t35, c35):
         with pytest.raises(ContextMismatch):
             pair(t35.g, c35.g)
@@ -123,6 +134,18 @@ class TestOperations:
             calls.clear()
             op()
             assert len(calls) == count
+
+
+class TestContextEquality:
+    def test_equal_iff_same_group(self, t35, t15, c35, c15):
+        twins = [(t35, setup_transparent(5, 7)), (t35, groups.TransparentContext(35)),
+                 (c35, groups.CurveContext(35, 139, 4, c35.g.value))]
+        for a, b in twins:
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+        other_g = groups.CurveContext(35, 139, 4, (c35.g ** 2).value)
+        for a, b in [(t35, t15), (t35, c35), (c35, c15), (c35, other_g)]:
+            assert a != b and b != a
 
 
 class TestPairing:
