@@ -46,15 +46,17 @@ def format_kv(fields: List[Tuple[str, str]]) -> str:
 
 
 def write_kv(path: PathLike, fields: List[Tuple[str, str]]) -> None:
-    Path(path).write_text(format_kv(fields), encoding="ascii")
+    Path(path).write_bytes(format_kv(fields).encode("ascii"))
 
 
 def parse_kv(text: str, where: str = "input") -> Dict[str, str]:
+    """Fields of text as format_kv writes it: key=value lines, each ended
+    by a newline; no blank line, and nothing stripped."""
+    *lines, tail = text.split("\n")
+    if tail:
+        raise MalformedText(f"{where}: no newline at end of file")
     fields: Dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, start=1):
         if "=" not in line:
             raise MalformedText(f"{where}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
@@ -66,7 +68,8 @@ def parse_kv(text: str, where: str = "input") -> Dict[str, str]:
 
 def read_kv(path: PathLike) -> Dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        # bytes, not read_text, which would turn \r\n into \n
+        text = Path(path).read_bytes().decode("ascii")
     except UnicodeDecodeError as exc:
         raise MalformedText(f"{path}: byte {exc.start} is not ASCII") from None
     return parse_kv(text, where=str(path))

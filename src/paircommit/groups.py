@@ -370,7 +370,7 @@ def point_from_text(text: str, field_prime: int) -> Optional[curve.Point]:
     Syntax and range only; curve membership and order are the caller's
     checks (the element parser and the context constructor make them).
     """
-    body = _strip_prefix(text.strip(), "G:")
+    body = _strip_prefix(text, "G:")
     if body == "inf":
         return None
     return _coordinates(body, text, field_prime, "G:<x>,<y> or G:inf")
@@ -499,8 +499,8 @@ def is_in_subgroup_q(a: GElement, q: int) -> bool:
 
 
 def element_from_text(text: str, ctx: GroupContext) -> GElement:
-    return GElement(ctx, ctx._el_from_text(text.strip()))
+    return GElement(ctx, ctx._el_from_text(text))
 
 
 def gt_element_from_text(text: str, ctx: GroupContext) -> GTElement:
-    return GTElement(ctx, ctx._gt_from_text(text.strip()))
+    return GTElement(ctx, ctx._gt_from_text(text))

@@ -1,221 +1,220 @@
-"""Built-in property suite over small prime pairs.
+"""The lab's claims as one table, and the runner behind `paircommit selftest`.
 
-Runs every module's core invariants at (p, q) = (5, 7) and (3, 5) on
-both backends. Used by the `selftest` CLI command; the pytest suite
-covers the same ground (and more) with frozen worked examples.
+Each row of CLAIMS names a claim (acceptance criteria 1-8 and the group
+and arithmetic laws beneath them), its property function
+fn(ctx, rng, trials), which raises AssertionError when the claim fails,
+and the backends it runs on (none: ctx is None). The selftest runs each
+row at (p, q) = (5, 7) and (3, 5) with few trials; the tests call the
+same functions with their full counts. Rows reach the library through
+its modules, so a patched function is the one checked.
 """
 
 import random
-from typing import Callable, List, Tuple
+import traceback
+from typing import List, Tuple
 
 from . import arith, commitment, forgery, groups
-
-Result = Tuple[str, bool, str]
-
-
-def run_selftest(seed: int = 1, trials: int = 100) -> List[Result]:
-    rng = random.Random(seed)
-    results: List[Result] = []
-
-    def check(name: str, fn: Callable[[], None]) -> None:
-        try:
-            fn()
-        except Exception as exc:
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
-        else:
-            results.append((name, True, ""))
-
-    check("algebra.ext_gcd", lambda: _ext_gcd_identity(rng, trials))
-    check("algebra.mod_inverse", lambda: _mod_inverse_roundtrip(rng, trials))
-    check("algebra.gen_prime", lambda: _gen_prime_is_prime(rng))
-
-    for p, q in ((5, 7), (3, 5)):
-        tctx = groups.setup_transparent(p, q)
-        cctx = groups.setup_curve(p, q, rng)
-        for ctx in (tctx, cctx):
-            tag = f"(p={p},q={q},{ctx.backend})"
-            check(f"groups.bilinearity {tag}", lambda c=ctx: _bilinearity(c, rng, 25))
-            check(f"groups.symmetry {tag}", lambda c=ctx: _symmetry(c, rng, 25))
-            check(f"groups.nondegeneracy {tag}", lambda c=ctx: _nondegeneracy(c))
-            check(f"groups.roundtrip {tag}", lambda c=ctx: _element_roundtrip(c, rng))
-            check(f"commitment.completeness {tag}",
-                  lambda c=ctx: _completeness(c, rng, trials))
-            check(f"commitment.identity {tag}",
-                  lambda c=ctx: _correctness_identity(c, rng, 50))
-            check(f"commitment.extraction {tag}", lambda c=ctx: _extraction(c, rng))
-            check(f"commitment.trapdoor {tag}", lambda c=ctx: _trapdoor(c, rng, 50))
-            check(f"forgery.accepts {tag}", lambda c=ctx: _forgery_accepts(c, rng, 25))
-        check(f"forgery.audit-trichotomy (p={p},q={q})",
-              lambda c=tctx: _audit_trichotomy(c, rng))
-        check(f"forgery.census-consistency (p={p},q={q})",
-              lambda c=tctx: _census_consistency(c, rng))
-    check("groups.gq-census (p=5,q=7)", lambda: _gq_census())
-    check("commitment.binding-exhaustive (n=15)", lambda: _binding_exhaustive())
-    check("groups.backend-equivalence", lambda: _backend_equivalence(rng, 20))
-    return results
+from .commitment import BINDING, HIDING, Commitment, Opening, WIProof
+from .forgery import COMMITS_TO_0, COMMITS_TO_1, INVALID
+from .groups import CURVE, TRANSPARENT, pair
 
 
-def _ext_gcd_identity(rng, trials):
+def arith_laws(ctx, rng, trials):
     for _ in range(trials):
-        a = rng.randrange(-(2 ** 48), 2 ** 48)
-        b = rng.randrange(-(2 ** 48), 2 ** 48)
-        if a == 0 and b == 0:
-            continue
-        g, s, t = arith.ext_gcd(a, b)
-        assert s * a + t * b == g and g >= 0
-        if a and b:
-            assert a % g == 0 and b % g == 0
-
-
-def _mod_inverse_roundtrip(rng, trials):
-    for _ in range(trials):
+        a, b = (rng.randrange(-(2 ** 48), 2 ** 48) for _ in range(2))
+        if a or b:
+            g, s, t = arith.ext_gcd(a, b)
+            assert s * a + t * b == g > 0 and a % g == 0 and b % g == 0
         n = rng.randrange(2, 2 ** 32)
         a = rng.randrange(1, n)
-        if arith.ext_gcd(a, n).g != 1:
-            continue
-        inv = arith.mod_inverse(a, n)
-        assert inv * a % n == 1 and 1 <= inv < n
-
-
-def _gen_prime_is_prime(rng):
+        if arith.ext_gcd(a, n).g == 1:
+            inv = arith.mod_inverse(a, n)
+            assert inv * a % n == 1 and 1 <= inv < n
     for bits in (3, 8, 16):
         p = arith.gen_prime(bits, rng)
-        assert p.bit_length() == bits
-        for d in range(2, int(p ** 0.5) + 1):
-            assert p % d != 0
+        assert p.bit_length() == bits and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
-def _bilinearity(ctx, rng, trials):
+def pairing_laws(ctx, rng, trials):
+    g = ctx.g
     for _ in range(trials):
-        s = rng.randrange(ctx.n)
-        t = rng.randrange(ctx.n)
-        lhs = groups.pair(ctx.g ** s, ctx.g ** t)
-        assert lhs == ctx.gt ** (s * t)
+        a, b, c, d, s, t = (rng.randrange(ctx.n) for _ in range(6))
+        base = pair(g ** a, g ** b)
+        assert base == ctx.gt ** (a * b) == pair(g ** b, g ** a)
+        assert pair(g ** (a * s), g ** (b * t)) == base ** (s * t)
+        assert (base == pair(g ** c, g ** d)) == ((a * b - c * d) % ctx.n == 0)
 
 
-def _symmetry(ctx, rng, trials):
+def nondegeneracy(ctx, rng, trials):
+    gt, n = ctx.gt, ctx.n
+    assert not (gt ** (n // ctx.p)).is_identity() and not (gt ** (n // ctx.q)).is_identity()
+    assert (gt ** n).is_identity()
+
+
+def text_roundtrip(ctx, rng, trials):
     for _ in range(trials):
-        a = ctx.g ** rng.randrange(ctx.n)
-        b = ctx.g ** rng.randrange(ctx.n)
-        assert groups.pair(a, b) == groups.pair(b, a)
-
-
-def _nondegeneracy(ctx):
-    assert not (ctx.gt ** (ctx.n // ctx.p)).is_identity()
-    assert not (ctx.gt ** (ctx.n // ctx.q)).is_identity()
-    assert (ctx.gt ** ctx.n).is_identity()
-
-
-def _element_roundtrip(ctx, rng):
-    for _ in range(10):
         el = ctx.g ** rng.randrange(ctx.n)
         assert groups.element_from_text(el.to_text(), ctx) == el
-    gt = ctx.gt ** rng.randrange(1, ctx.n)
-    assert groups.gt_element_from_text(gt.to_text(), ctx) == gt
+        gt = ctx.gt ** rng.randrange(1, ctx.n)
+        assert groups.gt_element_from_text(gt.to_text(), ctx) == gt
 
 
-def _completeness(ctx, rng, trials):
-    ck_b, _ = commitment.binding_keygen(ctx, rng)
-    ck_h, _ = commitment.hiding_keygen(ctx, rng)
-    for ck in (ck_b, ck_h):
+def gq_membership(ctx, rng, trials):
+    members = {e for e in range(ctx.n) if groups.is_in_subgroup_q(ctx.g ** e, ctx.q)}
+    assert members == set(range(0, ctx.n, ctx.p))
+
+
+def completeness(ctx, rng, trials, modes=(BINDING, HIDING)):
+    for mode in modes:
+        keygen = commitment.binding_keygen if mode == BINDING else commitment.hiding_keygen
+        ck = keygen(ctx, rng)[0]
         for _ in range(trials):
-            m = rng.randrange(2)
-            r = rng.randrange(ctx.n)
-            c = commitment.commit(ck, m, r)
-            pi = commitment.wi_prove(ck, m, r)
+            m, r = rng.randrange(2), rng.randrange(ctx.n)
+            c, pi = commitment.commit(ck, m, r), commitment.wi_prove(ck, m, r)
             assert commitment.verify(ck, c, pi)
 
 
-def _correctness_identity(ctx, rng, trials):
+def correctness_identity(ctx, rng, trials):
     ck, _ = commitment.binding_keygen(ctx, rng)
+    g_inv = ctx.g.inverse()
     for _ in range(trials):
-        m = rng.randrange(ctx.p)
-        r = rng.randrange(ctx.n)
+        m, r = rng.randrange(ctx.p), rng.randrange(ctx.n)
         c = commitment.commit(ck, m, r)
         pi = commitment._wi_prove_any_message(ck, m, r)
-        ok = commitment.verify(ck, c, pi)
-        assert ok == (m * (m - 1) % ctx.n == 0)
+        assert pair(c.c, c.c * g_inv) == ctx.gt ** (m * (m - 1)) * pair(ck.h, pi.pi)
+        assert commitment.verify(ck, c, pi) == (m * (m - 1) % ctx.n == 0)
 
 
-def _extraction(ctx, rng):
+def extraction(ctx, rng, trials):
     ck, xk = commitment.binding_keygen(ctx, rng)
     for m in range(ctx.p):
-        r = rng.randrange(ctx.n)
-        assert commitment.extract(xk, commitment.commit(ck, m, r)) == m
+        for _ in range(trials):
+            c = commitment.commit(ck, m, rng.randrange(ctx.n))
+            assert commitment.extract(xk, c) == m
 
 
-def _trapdoor(ctx, rng, trials):
+def equivocation(ctx, rng, trials):
     ck, tk = commitment.hiding_keygen(ctx, rng)
     for _ in range(trials):
-        m = rng.randrange(ctx.p)
-        r = rng.randrange(ctx.n)
+        m, r, m_new = rng.randrange(ctx.p), rng.randrange(ctx.n), rng.randrange(ctx.p)
         c = commitment.commit(ck, m, r)
-        m2 = rng.randrange(ctx.p)
-        opened = commitment.trapdoor_open(tk, c, commitment.Opening(m, r), m2)
-        assert commitment.commit(ck, opened.m, opened.r) == c
-        back = commitment.trapdoor_open(tk, c, opened, m)
-        assert back.r == r % ctx.n
+        there = commitment.trapdoor_open(tk, c, Opening(m, r), m_new)
+        assert there.m == m_new and commitment.commit(ck, there.m, there.r) == c
+        assert commitment.trapdoor_open(tk, c, there, m) == Opening(m, r)
 
 
-def _forgery_accepts(ctx, rng, trials):
+def forgery_accepts(ctx, rng, trials):
     ck, _ = commitment.binding_keygen(ctx, rng)
     for _ in range(trials):
         rec = forgery.forge(ck, ctx.p, ctx.q, rng=rng)
         report = forgery.claim_report(rec, ck, ctx.p, ctx.q)
-        assert report.verification_passes
-        assert not report.alpha1_is_bit
-        assert not report.g_alpha1_in_gq
+        assert commitment.verify(ck, rec.c, rec.pi) and report.verification_passes
+        assert rec.alpha1 % ctx.n not in (0, 1) and not report.alpha1_is_bit
+        g_alpha1 = ctx.g ** rec.alpha1
+        assert not groups.is_in_subgroup_q(g_alpha1, ctx.q) and not report.g_alpha1_in_gq
 
 
-def _audit_trichotomy(ctx, rng):
-    ck, _ = commitment.binding_keygen(ctx, rng)
-    fp = commitment.key_fingerprint(ck)
-    for e in range(ctx.n):
-        v = forgery.audit(ctx.q, ck, commitment.Commitment(ctx.element(e), fp))
-        assert v.label in (forgery.COMMITS_TO_0, forgery.COMMITS_TO_1, forgery.INVALID)
-        assert v.c_in_gq == (v.label == forgery.COMMITS_TO_0)
-    for m in (0, 1):
-        c = commitment.commit(ck, m, rng.randrange(ctx.n))
-        v = forgery.audit(ctx.q, ck, c)
-        assert v.label == (forgery.COMMITS_TO_0 if m == 0 else forgery.COMMITS_TO_1)
-
-
-def _census_consistency(ctx, rng):
+def census(ctx, rng, trials):
     ck, _ = commitment.binding_keygen(ctx, rng)
     result = forgery.accepting_census(ctx, ck)
     assert result.accepting_exponents() == result.non_invalid_exponents()
+    # h = g^(p*x), q prime to x: c(c-1) = h*pi has p solutions iff p | c(c-1)
+    for row in result.rows:
+        assert row.accepting_pi_count == (ctx.p if row.c_exp % ctx.p in (0, 1) else 0)
 
 
-def _gq_census():
-    ctx = groups.setup_transparent(5, 7)
-    members = {e for e in range(35) if groups.is_in_subgroup_q(ctx.element(e), 7)}
-    assert members == {0, 5, 10, 15, 20, 25, 30}
+def cross_check(ctx, rng, trials):
+    twin = groups.setup_transparent(ctx.p, ctx.q)
+    for _ in range(trials):
+        x = rng.randrange(1, ctx.q)
+        while x % ctx.p == 0:
+            x = rng.randrange(1, ctx.q)
+        m, r, beta1 = rng.randrange(2), rng.randrange(ctx.n), rng.randrange(1, ctx.n)
+        curve, transparent = (_transcript(c, x, m, r, beta1) for c in (ctx, twin))
+        assert curve == transparent
+        # honest, tampered, forged and hiding-mode proofs; extracted m
+        assert curve[:4] == (True, False, True, True) and curve[6] == m
 
 
-def _binding_exhaustive():
-    ctx = groups.setup_transparent(3, 5)
-    for x in range(1, 5):
+def _transcript(ctx, x, m, r, beta1):
+    ck, xk = commitment.binding_key_from_exponent(ctx, x)
+    hk, _ = commitment.hiding_key_from_exponent(ctx, x)
+    c, pi = commitment.commit(ck, m, r), commitment.wi_prove(ck, m, r)
+    tampered = WIProof(pi.pi * ctx.g, pi.key_fp)
+    rec = forgery.forge(ck, ctx.p, ctx.q, beta1=beta1)
+    hc, hpi = commitment.commit(hk, m, r), commitment.wi_prove(hk, m, r)
+    return (commitment.verify(ck, c, pi), commitment.verify(ck, c, tampered),
+            commitment.verify(ck, rec.c, rec.pi), commitment.verify(hk, hc, hpi),
+            forgery.audit(ctx.q, ck, c).label, forgery.audit(ctx.q, ck, rec.c).label,
+            commitment.extract(xk, c, 2))
+
+
+def binding(ctx, rng, trials):
+    for x in range(1, ctx.q):
         ck, _ = commitment.binding_key_from_exponent(ctx, x)
         openings = {}
         for m in range(ctx.p):
             for r in range(ctx.n):
-                c = commitment.commit(ck, m, r).c.value
-                openings.setdefault(c, set()).add(m)
+                openings.setdefault(commitment.commit(ck, m, r).c.value, set()).add(m)
         assert all(len(ms) == 1 for ms in openings.values())
 
 
-def _backend_equivalence(rng, trials):
-    p, q = 5, 7
-    tctx = groups.setup_transparent(p, q)
-    cctx = groups.setup_curve(p, q, rng)
+def audit_labels(ctx, rng, trials):
+    ck, _ = commitment.binding_keygen(ctx, rng)
+    fp = commitment.key_fingerprint(ck)
+    bit_label = {0: COMMITS_TO_0, 1: COMMITS_TO_1}
+    for e in range(ctx.n):
+        v = forgery.audit(ctx.q, ck, Commitment(ctx.g ** e, fp))
+        assert v.label == bit_label.get(e % ctx.p, INVALID)
+        assert v.c_in_gq == (v.label == COMMITS_TO_0)
     for _ in range(trials):
-        x = rng.randrange(1, q)
         m = rng.randrange(2)
-        r = rng.randrange(p * q)
-        outcomes = []
-        for ctx in (tctx, cctx):
-            ck, _ = commitment.binding_key_from_exponent(ctx, x)
-            c = commitment.commit(ck, m, r)
-            pi = commitment.wi_prove(ck, m, r)
-            outcomes.append(commitment.verify(ck, c, pi))
-        assert outcomes[0] == outcomes[1]
+        c = commitment.commit(ck, m, rng.randrange(ctx.n))
+        assert forgery.audit(ctx.q, ck, c).label == bit_label[m]
+
+
+BOTH = (TRANSPARENT, CURVE)
+
+# (claim, property function, backends it runs on)
+CLAIMS = (
+    ("arith: ext_gcd, mod_inverse and gen_prime are right", arith_laws, ()),
+    ("pair is bilinear and symmetric, and e(g^a, g^b) = e(g^c, g^d) iff ab = cd mod n",
+     pairing_laws, BOTH),
+    ("pair(g, g) has order n", nondegeneracy, BOTH),
+    ("elements read back from their text", text_roundtrip, BOTH),
+    ("g^e lies in G_q iff p divides e", gq_membership, BOTH),
+    ("criterion 1: honest bit proofs verify, both key modes", completeness, BOTH),
+    ("criterion 2: e(c, c/g) = e(g,g)^(m(m-1)) e(h, pi), so verify accepts iff "
+     "m(m-1) = 0 mod n", correctness_identity, BOTH),
+    ("criterion 3: the extraction key recovers every m < p", extraction, BOTH),
+    ("criterion 4: the trapdoor re-opens to any m, and back", equivocation, BOTH),
+    ("criterion 5: p and q forge accepting proofs, alpha1 no bit", forgery_accepts, BOTH),
+    ("criterion 6: the census accepts the audit's bit commitments", census, (TRANSPARENT,)),
+    ("criterion 7: backend transcripts agree, tampered proofs fail", cross_check, (CURVE,)),
+    ("criterion 8: no binding commitment opens to two messages", binding, (TRANSPARENT,)),
+    ("audit labels g^e by e mod p, honest commitments by their bit", audit_labels, BOTH),
+)
+
+
+def run_selftest(seed: int = 1) -> List[Tuple[str, bool, str]]:
+    """(check, passed, detail) for every claim at (p, q) = (5, 7) and (3, 5),
+    on each backend it names, with 10 trials."""
+    if not __debug__:  # python -O strips the asserts that every row is made of
+        raise ValueError("selftest checks nothing under python -O")
+    rng = random.Random(seed)
+    contexts = [ctx for p, q in ((5, 7), (3, 5))
+                for ctx in (groups.setup_transparent(p, q), groups.setup_curve(p, q, rng))]
+    results = []
+    for claim, fn, backends in CLAIMS:
+        runs = [(f"{claim} (p={c.p},q={c.q},{c.backend})", c)
+                for c in contexts if c.backend in backends] or [(claim, None)]
+        for name, ctx in runs:
+            try:
+                fn(ctx, rng, 10)
+            except Exception as exc:
+                # the innermost frame: which assert or call failed
+                where = traceback.extract_tb(exc.__traceback__)[-1]
+                results.append((name, False, f"{exc!r} in {where.name}: {where.line}"))
+            else:
+                results.append((name, True, ""))
+    return results

@@ -13,29 +13,27 @@ import pytest
 
 from paircommit import (
     COMMITS_TO_1,
-    ExtractionKey,
-    WIProof,
     accepting_census,
-    audit,
     binding_key_from_exponent,
-    binding_keygen,
     claim_report,
-    commit,
-    extract,
     forge,
     gen_prime,
-    hiding_key_from_exponent,
-    hiding_keygen,
     is_in_subgroup_q,
-    key_fingerprint,
-    pair,
     setup_curve,
     setup_transparent,
-    trapdoor_open,
     verify,
-    wi_prove,
 )
-from paircommit.commitment import Opening, _wi_prove_any_message
+from paircommit.selftest import (
+    binding,
+    completeness,
+    correctness_identity,
+    cross_check,
+    equivocation,
+    extraction,
+    forgery_accepts,
+    nondegeneracy,
+    pairing_laws,
+)
 
 
 @contextmanager
@@ -72,12 +70,7 @@ def test_criterion_1_completeness(t35, c35, contexts16, rng):
                       "both modes, (5,7) and a 16-bit pair, under 60 s"):
         start = time.time()
         for ctx in (t35, c35) + contexts16:
-            for keygen in (binding_keygen, hiding_keygen):
-                ck = keygen(ctx, rng)[0]
-                for _ in range(1000):
-                    m = rng.randrange(2)
-                    r = rng.randrange(ctx.n)
-                    assert verify(ck, commit(ck, m, r), wi_prove(ck, m, r))
+            completeness(ctx, rng, 1000)
         elapsed = time.time() - start
         assert elapsed < 60, f"took {elapsed:.1f} s"
 
@@ -87,51 +80,23 @@ def test_criterion_2_correctness_identity(t35, c35, contexts16, rng):
                       "m(m-1) = 0 mod n, 200 random m per backend"):
         trials = {t35: 200, c35: 200, contexts16[0]: 200, contexts16[1]: 50}
         for ctx, count in trials.items():
-            ck, _ = binding_keygen(ctx, rng)
-            for _ in range(count):
-                m = rng.randrange(ctx.p)
-                r = rng.randrange(ctx.n)
-                c = commit(ck, m, r)
-                pi = _wi_prove_any_message(ck, m, r)
-                lhs = pair(c.c, c.c * ctx.g.inverse())
-                rhs = ctx.gt ** (m * (m - 1)) * pair(ck.h, pi.pi)
-                assert lhs == rhs
-                assert verify(ck, c, pi) == (m * (m - 1) % ctx.n == 0)
+            correctness_identity(ctx, rng, count)
 
 
 def test_criterion_3_extraction(t35, c35, rng):
     with criterion(3, "extraction recovers every message: m < p at (5,7), "
                       "m < 2^10 at a 32-bit-q context, 100 r each"):
         for ctx in (t35, c35):
-            ck, xk = binding_keygen(ctx, rng)
-            for m in range(5):
-                for _ in range(100):
-                    c = commit(ck, m, rng.randrange(ctx.n))
-                    assert extract(xk, c) == m
-        p = 1031  # smallest prime above 2^10, so every m < 2^10 is a message
-        q = gen_prime(32, rng)
-        big = setup_transparent(p, q)
-        ck, xk = binding_keygen(big, rng)
-        for m in range(2 ** 10):
-            for _ in range(100):
-                c = commit(ck, m, rng.randrange(big.n))
-                assert extract(xk, c) == m
+            extraction(ctx, rng, 100)
+        # 1031 is the smallest prime above 2^10, so every m < 2^10 is a message
+        extraction(setup_transparent(1031, gen_prime(32, rng)), rng, 100)
 
 
 def test_criterion_4_trapdoor(t35, c35, rng):
     with criterion(4, "1000 equivocations re-open exactly and reverse "
                       "to the original randomizer"):
         for ctx in (t35, c35):
-            ck, tk = hiding_keygen(ctx, rng)
-            for _ in range(500):
-                m = rng.randrange(ctx.p)
-                r = rng.randrange(ctx.n)
-                c = commit(ck, m, r)
-                m2 = rng.randrange(ctx.p)
-                opened = trapdoor_open(tk, c, Opening(m, r), m2)
-                assert commit(ck, opened.m, opened.r) == c
-                back = trapdoor_open(tk, c, opened, m)
-                assert back.r == r
+            equivocation(ctx, rng, 500)
 
 
 def test_criterion_5_forgery_reproduction(t35, c35, rng):
@@ -154,18 +119,10 @@ def test_criterion_5_forgery_reproduction(t35, c35, rng):
             assert report.verification_passes
             assert not report.alpha1_is_bit
             assert not report.g_alpha1_in_gq
-        accepted = 0
         for i in range(200):
-            use_curve = i % 2 == 1
             p, q = _random_pair(rng, rng.randrange(3, 9))
-            ctx = setup_curve(p, q, rng) if use_curve else setup_transparent(p, q)
-            ck, _ = binding_keygen(ctx, rng)
-            rec = forge(ck, p, q, rng=rng)
-            assert verify(ck, rec.c, rec.pi)
-            assert rec.alpha1 % ctx.n not in (0, 1)
-            assert not is_in_subgroup_q(ctx.g ** rec.alpha1, q)
-            accepted += 1
-        assert accepted == 200
+            ctx = setup_curve(p, q, rng) if i % 2 else setup_transparent(p, q)
+            forgery_accepts(ctx, rng, 1)
 
 
 def test_criterion_6_census_ground_truth(t15, t35, rng):
@@ -198,62 +155,20 @@ def test_criterion_6_census_ground_truth(t15, t35, rng):
         assert elapsed < 5, f"took {elapsed:.1f} s"
 
 
-def test_criterion_7_backend_cross_check(pair16, contexts16, rng):
+def test_criterion_7_backend_cross_check(contexts16, rng):
     with criterion(7, "100 transcripts agree across backends at 16-bit "
                       "primes; curve passes bilinearity and "
                       "non-degeneracy, under 120 s"):
         start = time.time()
-        p, q = pair16
-        tctx, cctx = contexts16
-        n = p * q
-        for _ in range(100):
-            x = rng.randrange(1, q)
-            while x % p == 0:
-                x = rng.randrange(1, q)
-            m = rng.randrange(2)
-            r = rng.randrange(n)
-            beta1 = rng.randrange(1, n)
-            outcomes = []
-            for ctx in (tctx, cctx):
-                ck, _ = binding_key_from_exponent(ctx, x)
-                c = commit(ck, m, r)
-                pi = wi_prove(ck, m, r)
-                fp = key_fingerprint(ck)
-                tampered = WIProof(pi.pi * ctx.g, fp)
-                rec = forge(ck, p, q, beta1=beta1)
-                hk, _ = hiding_key_from_exponent(ctx, x)
-                hc = commit(hk, m, r)
-                hpi = wi_prove(hk, m, r)
-                outcomes.append((
-                    verify(ck, c, pi),
-                    verify(ck, c, tampered),
-                    verify(ck, rec.c, rec.pi),
-                    verify(hk, hc, hpi),
-                    audit(q, ck, c).label,
-                    audit(q, ck, rec.c).label,
-                    extract(ExtractionKey(ck, q), c, 2),
-                ))
-            assert outcomes[0] == outcomes[1]
-            assert outcomes[0][0] and not outcomes[0][1] and outcomes[0][2]
-        for _ in range(100):
-            s, t = rng.randrange(n), rng.randrange(n)
-            assert pair(cctx.g ** s, cctx.g ** t) == cctx.gt ** (s * t)
-        assert not (cctx.gt ** (n // p)).is_identity()
-        assert not (cctx.gt ** (n // q)).is_identity()
-        assert (cctx.gt ** n).is_identity()
+        cctx = contexts16[1]
+        cross_check(cctx, rng, 100)
+        pairing_laws(cctx, rng, 100)
+        nondegeneracy(cctx, rng, 1)
         elapsed = time.time() - start
         assert elapsed < 120, f"took {elapsed:.1f} s"
 
 
-def test_criterion_8_binding_exhaustive():
+def test_criterion_8_binding_exhaustive(t15, rng):
     with criterion(8, "full enumeration at n=15 finds no element with two "
                       "distinct message openings"):
-        ctx = setup_transparent(3, 5)
-        for x in range(1, 5):
-            ck, _ = binding_key_from_exponent(ctx, x)
-            openings = {}
-            for m in range(3):
-                for r in range(15):
-                    c = commit(ck, m, r).c.value
-                    openings.setdefault(c, set()).add(m)
-            assert all(len(ms) == 1 for ms in openings.values())
+        binding(t15, rng, 1)

@@ -1,9 +1,15 @@
 """CLI workflows: pipelines, exit codes, seed determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import paircommit
+from paircommit import commitment
 from paircommit.cli import main
 from paircommit.groups import CURVE, TRANSPARENT
 
@@ -674,3 +680,33 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         assert "checks passed" in out
+        for k in range(1, 9):
+            assert f"PASS criterion {k}:" in out
+
+    @pytest.mark.parametrize("name, fake, row", [
+        ("verify", lambda ck, c, pi: True, "criterion 7"),
+        ("extract", lambda xk, c, bound=0: 0, "criterion 3"),
+    ], ids=["verify-accepts-tampered", "extract-returns-0"])
+    def test_fails_on_a_broken_claim(self, capsys, monkeypatch, name, fake, row):
+        monkeypatch.setattr(commitment, name, fake)
+        code, out, _ = run(capsys, "selftest", "--seed", "1")
+        assert code == 1
+        assert f"FAIL {row}:" in out and "PASS criterion 1:" in out
+
+    def test_other_commands_do_not_import_it(self):
+        """`import paircommit.cli` used to import the claim table too."""
+        done = _python("-c", "import sys, paircommit.cli; "
+                             "print('paircommit.selftest' in sys.modules)")
+        assert done.stdout == "False\n"
+
+    def test_refused_under_python_dash_o(self):
+        """With asserts stripped, every row used to pass having checked nothing."""
+        done = _python("-O", "-m", "paircommit.cli", "selftest")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == "error: selftest checks nothing under python -O\n"
+
+
+def _python(*args):
+    """A fresh interpreter's run, on the paircommit these tests import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(paircommit.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)

@@ -23,14 +23,18 @@ from paircommit import (
     homomorphic_combine,
     is_in_subgroup_q,
     key_fingerprint,
-    pair,
-    setup_transparent,
     trapdoor_open,
     verify,
     wi_prove,
 )
 from paircommit import fileio
-from paircommit.commitment import _wi_prove_any_message
+from paircommit.selftest import (
+    binding,
+    completeness,
+    correctness_identity,
+    equivocation,
+    extraction,
+)
 
 
 @pytest.fixture
@@ -158,11 +162,8 @@ class TestExtraction:
         assert 2 * 7 % 35 == 14 and 14 == (7 * 2) % 35  # c^7 = (g^7)^2
         assert extract(xk, c, 5) == 2
 
-    def test_round_trip_all_messages(self, binding35, rng):
-        ck, xk = binding35
-        for m in range(5):
-            for _ in range(10):
-                assert extract(xk, commit(ck, m, rng.randrange(35))) == m
+    def test_round_trip_all_messages(self, t35, rng):
+        extraction(t35, rng, 10)
 
     def test_not_extractable(self, binding35, t35):
         from paircommit import Commitment, key_fingerprint
@@ -202,16 +203,8 @@ class TestTrapdoorOpening:
         c = commit(ck, 1, 9)
         assert trapdoor_open(tk, c, Opening(1, 9), 1) == Opening(1, 9)
 
-    def test_involution(self, hiding35, rng):
-        ck, tk = hiding35
-        for _ in range(50):
-            m, r = rng.randrange(5), rng.randrange(35)
-            c = commit(ck, m, r)
-            m2 = rng.randrange(5)
-            there = trapdoor_open(tk, c, Opening(m, r), m2)
-            assert commit(ck, there.m, there.r) == c
-            back = trapdoor_open(tk, c, there, m)
-            assert back == Opening(m, r)
+    def test_involution(self, t35, rng):
+        equivocation(t35, rng, 50)
 
     def test_perfect_hiding_spot_check(self, hiding35):
         ck, tk = hiding35
@@ -273,12 +266,7 @@ class TestVerify:
     @pytest.mark.parametrize("backend", ["transparent", "curve"])
     def test_completeness(self, mode, backend, t35, c35, rng):
         """Honest bit commitments always verify, all modes, both backends."""
-        ctx = t35 if backend == "transparent" else c35
-        keygen = binding_keygen if mode == BINDING else hiding_keygen
-        ck = keygen(ctx, rng)[0]
-        for _ in range(100):
-            m, r = rng.randrange(2), rng.randrange(35)
-            assert verify(ck, commit(ck, m, r), wi_prove(ck, m, r))
+        completeness(t35 if backend == "transparent" else c35, rng, 100, modes=(mode,))
 
     def test_cross_key_rejected(self, binding35, hiding35):
         ck_b, _ = binding35
@@ -293,16 +281,7 @@ class TestCorrectnessIdentity:
     @pytest.mark.parametrize("backend", ["transparent", "curve"])
     def test_identity_for_all_messages(self, backend, t35, c35, rng):
         """e(c, c*g^-1) = e(g,g)^(m(m-1)) * e(h, pi) for every m, not only bits."""
-        ctx = t35 if backend == "transparent" else c35
-        ck, _ = binding_keygen(ctx, rng)
-        for _ in range(60):
-            m, r = rng.randrange(5), rng.randrange(35)
-            c = commit(ck, m, r)
-            pi = _wi_prove_any_message(ck, m, r)
-            lhs = pair(c.c, c.c * ctx.g.inverse())
-            rhs = ctx.gt ** (m * (m - 1)) * pair(ck.h, pi.pi)
-            assert lhs == rhs
-            assert verify(ck, c, pi) == (m * (m - 1) % 35 == 0)
+        correctness_identity(t35 if backend == "transparent" else c35, rng, 60)
 
 
 class TestHomomorphicCombine:
@@ -339,17 +318,9 @@ class TestHomomorphicCombine:
 
 
 class TestBindingExhaustive:
-    def test_no_double_openings_at_n15(self):
+    def test_no_double_openings_at_n15(self, t15, rng):
         """Full enumeration at n=15: no element opens to two distinct m < p."""
-        ctx = setup_transparent(3, 5)
-        for x in range(1, 5):
-            ck, _ = binding_key_from_exponent(ctx, x)
-            seen = {}
-            for m in range(3):
-                for r in range(15):
-                    c = commit(ck, m, r).c.value
-                    seen.setdefault(c, set()).add(m)
-            assert all(len(ms) == 1 for ms in seen.values())
+        binding(t15, rng, 1)
 
 
 class TestSubgroupStructure:

@@ -10,11 +10,9 @@ from paircommit import (
     Opening,
     SecretKeyMismatch,
     binding_key_from_exponent,
-    binding_keygen,
     commit,
     forge,
     hiding_key_from_exponent,
-    hiding_keygen,
     key_fingerprint,
     wi_prove,
 )
@@ -29,12 +27,28 @@ class TestKv:
         assert fileio.read_kv(path) == {"a": "1", "b": "G:2,3"}
 
     def test_malformed_line(self):
-        with pytest.raises(MalformedText):
-            fileio.parse_kv("no separator here")
+        with pytest.raises(MalformedText, match="expected key=value"):
+            fileio.parse_kv("no separator here\n")
 
     def test_duplicate_field(self):
-        with pytest.raises(MalformedText):
-            fileio.parse_kv("a=1\na=2")
+        with pytest.raises(MalformedText, match="duplicate field"):
+            fileio.parse_kv("a=1\na=2\n")
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"\nn=", b"\n n="),
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: data.replace(b"\nn=", b"\n\nn="),
+        lambda data: data[:-1],
+    ], ids=["space-before-key", "crlf", "blank-line", "no-final-newline"])
+    def test_line_layout(self, tmp_path, t35, edit):
+        """Each edit used to load, and the key re-saved to other bytes."""
+        ck, _ = binding_key_from_exponent(t35, 3)
+        path = tmp_path / "ck.txt"
+        fileio.save_commitment_key(path, ck)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(MalformedText) as info:
+            fileio.load_commitment_key(path)
+        assert str(info.value).startswith(f"{path}")
 
     def test_non_ascii_byte(self, tmp_path, t35):
         """A non-ASCII byte used to escape as UnicodeDecodeError, which is no
@@ -257,6 +271,9 @@ class TestMalformedFields:
         # non-canonical integers, which used to load and re-save differently
         ("n", "+35"), pytest.param("n", " 35", id="n-space35"), ("n", "3_5"), ("n", "035"),
         ("h", "G:+5"), ("h", "G:05"), ("h", "G:1_0"),
+        # space around a value, which used to be stripped
+        pytest.param("n", "35 ", id="n-35space"), pytest.param("h", " G:15", id="h-spaceG:15"),
+        pytest.param("h", "G:15\t", id="h-G:15tab"),
     ])
     def test_transparent(self, tmp_path, t35, field, bad):
         ck, _ = binding_key_from_exponent(t35, 3)

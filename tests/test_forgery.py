@@ -1,7 +1,5 @@
 """Forgery procedure, audit oracle, claim report, and the brute-force census."""
 
-import random
-
 import pytest
 
 from paircommit import (
@@ -9,7 +7,6 @@ from paircommit import (
     COMMITS_TO_1,
     Commitment,
     INVALID,
-    NotInvertible,
     accepting_census,
     audit,
     binding_key_from_exponent,
@@ -25,6 +22,7 @@ from paircommit import (
     setup_transparent,
     verify,
 )
+from paircommit.selftest import audit_labels, census, forgery_accepts
 
 
 @pytest.fixture
@@ -111,10 +109,7 @@ class TestForge:
             p, q = _random_prime_pair(rng, backend)
             ctx = (setup_transparent(p, q) if backend == "transparent"
                    else setup_curve(p, q, rng))
-            ck, _ = binding_keygen(ctx, rng)
-            rec = forge(ck, p, q, rng=rng)
-            assert verify(ck, rec.c, rec.pi)
-            assert rec.alpha1 % ctx.n not in (0, 1)
+            forgery_accepts(ctx, rng, 1)
 
 
 class TestAudit:
@@ -129,23 +124,12 @@ class TestAudit:
         assert v.label == INVALID  # 2*7 = 14, 1*7 = 7, neither 0 mod 35
         assert not v.c_in_gq and not v.c_over_g_in_gq
 
-    def test_trichotomy_exhaustive(self, binding35, t35):
-        ck, _ = binding35
-        fp = key_fingerprint(ck)
-        labels = [audit(7, ck, Commitment(t35.g ** e, fp)).label for e in range(35)]
-        assert {COMMITS_TO_0, COMMITS_TO_1, INVALID} == set(labels)
-        for e, label in enumerate(labels):
-            expected = (COMMITS_TO_0 if e * 7 % 35 == 0
-                        else COMMITS_TO_1 if (e - 1) * 7 % 35 == 0
-                        else INVALID)
-            assert label == expected
+    def test_trichotomy_exhaustive(self, t35, c35, rng):
+        for ctx in (t35, c35):
+            audit_labels(ctx, rng, 1)
 
-    def test_matches_honest_commitments(self, binding35, rng):
-        ck, _ = binding35
-        for _ in range(40):
-            m, r = rng.randrange(2), rng.randrange(35)
-            v = audit(7, ck, commit(ck, m, r))
-            assert v.label == (COMMITS_TO_0 if m == 0 else COMMITS_TO_1)
+    def test_matches_honest_commitments(self, t35, rng):
+        audit_labels(t35, rng, 40)
 
     def test_curve_backend_agrees(self, c35, rng):
         ck, _ = binding_key_from_exponent(c35, 3)
@@ -241,11 +225,8 @@ class TestCensus:
 
     def test_consistency_with_audit(self, t35, t15, rng):
         """Accepting-c set equals the audit's non-Invalid set."""
-        contexts = [t15, t35, setup_transparent(7, 11), setup_transparent(13, 17)]
-        for ctx in contexts:
-            ck, _ = binding_keygen(ctx, rng)
-            result = accepting_census(ctx, ck)
-            assert result.accepting_exponents() == result.non_invalid_exponents()
+        for ctx in (t15, t35, setup_transparent(7, 11), setup_transparent(13, 17)):
+            census(ctx, rng, 1)
 
     def test_forged_c_is_inside_accepting_set(self, t35, rng):
         """The forged commitment lands in the accepting set the census finds."""
