@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-# Ground truth by brute force: enumerate EVERY (c, pi) exponent pair,
-# record which pass verification, and compare against the audit oracle.
-# No algebraic argument, just counting.
+# Ground truth by counting: for EVERY c, how many pi pass verification,
+# compared against the audit oracle. The census tabulates verify's right
+# side pair(h, pi) once over all pi and looks up its left side
+# pair(c, c/g) for each c. No algebraic argument, just counting.
 
 from paircommit import (
     accepting_census,

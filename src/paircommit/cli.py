@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--commitment", required=True)
     sp.set_defaults(func=cmd_audit)
 
-    sp = sub.add_parser("census", help="brute-force the accepting (c, pi) table")
+    sp = sub.add_parser("census", help="count the accepting pi of every c, with its audit verdict")
     sp.add_argument("--ck", required=True)
     sp.add_argument("--secret", required=True, help="extraction key file")
     sp.add_argument("--out")

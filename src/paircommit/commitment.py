@@ -15,12 +15,13 @@ pi = (g^(2m-1) h^r)^r, accepted iff e(c, c*g^-1) = e(h, pi).
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .arith import ext_gcd, mod_inverse
 from .errors import InvalidKey, KeyMismatch, NotExtractable
 from .groups import (
     CURVE,
+    BabySteps,
     GElement,
     GroupContext,
     pair,
@@ -30,6 +31,7 @@ BINDING = "binding"
 HIDING = "hiding"
 
 DEFAULT_EXTRACT_BOUND = 2 ** 16
+_EXTRACT_WIDTH = 256  # baby steps per key, ceil(sqrt(DEFAULT_EXTRACT_BOUND)); any bound works
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class ExtractionKey:
 
     ck: CommitmentKey
     q: int
+    # extract's baby steps to the base g^q, built at the key's first extract
+    _steps: Optional[BabySteps] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = self.ck.h
@@ -174,27 +178,22 @@ def commit(ck: CommitmentKey, m: int, r: int) -> Commitment:
 
 
 def extract(xk: ExtractionKey, c: Commitment, bound: int = DEFAULT_EXTRACT_BOUND) -> int:
-    """Recover m from a binding-mode commitment by exhaustive search.
+    """Recover m from a binding-mode commitment: the smallest m < bound
+    with (g^q)^m = c^q, else NotExtractable.
 
-    c^q = (g^m h^r)^q = (g^q)^m kills the h component; scan m upward
-    until (g^q)^m matches. Raises NotExtractable when no m < bound fits.
+    c^q = (g^m h^r)^q = (g^q)^m kills the h component; m is its discrete
+    log to the base g^q, by baby-step giant-step over the key's table.
     """
     ck = xk.ck
     if ck.mode != BINDING:
         raise ValueError("extraction needs a binding-mode key")
     check_key(ck, c)
-    ctx = ck.context
-    target = (c.c ** xk.q).value
-    step = (ctx.g ** xk.q).value
-    # scan in payload space: commitment-sized loops, element objects would
-    # dominate the cost
-    acc = ctx._el_identity
-    mul = ctx._el_mul
-    for m in range(bound):
-        if acc == target:
-            return m
-        acc = mul(acc, step)
-    raise NotExtractable(f"no message below {bound} matches the commitment")
+    if xk._steps is None:
+        object.__setattr__(xk, "_steps", BabySteps(ck.context.g ** xk.q, _EXTRACT_WIDTH))
+    m = xk._steps.log(c.c ** xk.q, bound)
+    if m is None:
+        raise NotExtractable(f"no message below {bound} matches the commitment")
+    return m
 
 
 def trapdoor_open(tk: TrapdoorKey, c: Commitment, current: Opening, m_new: int) -> Opening:

@@ -80,7 +80,7 @@ def _read(path: PathLike, kind: str) -> Tuple[Dict[str, str], str]:
     fields = read_kv(path)
     got = _take(fields, "kind", where)
     if got != kind:
-        raise MalformedText(f"{where}: expected kind={kind}, got kind={got}")
+        raise MalformedText(f"{where}: expected kind={kind!r}, got kind={got!r}")
     return fields, where
 
 

@@ -491,6 +491,40 @@ def pair(a: GElement, b: GElement) -> GTElement:
     return GTElement(a.group, a.group._pair(a.value, b.value))
 
 
+class BabySteps:
+    """Baby-step giant-step (Shanks) to one base a: the payload of a^j for
+    each j < width, keeping the first j per payload, and the giant step
+    a^-width. Payload operations only, so both backends share it; whoever
+    takes many logs to one base keeps its table."""
+
+    __slots__ = ("base", "width", "table", "giant")
+
+    def __init__(self, base: GElement, width: int):
+        ctx = base.group
+        table: Dict[object, int] = {}
+        acc = ctx._el_identity
+        for j in range(width):
+            table.setdefault(acc, j)
+            acc = ctx._el_mul(acc, base.value)
+        self.base, self.width, self.table = base, width, table
+        self.giant = ctx._el_inv(acc)
+
+    def log(self, target: GElement, bound: int) -> Optional[int]:
+        """The smallest m < bound with base^m == target, or None. Giant
+        steps multiply target by base^-width until it meets the table; the
+        first hit is the least m, as the table keeps the least j per
+        payload."""
+        _same_group(self.base, target)
+        mul, table, giant = self.base.group._el_mul, self.table, self.giant
+        y = target.value
+        for i in range(0, bound, self.width):
+            j = table.get(y)
+            if j is not None:
+                return i + j if i + j < bound else None
+            y = mul(y, giant)
+        return None
+
+
 def is_in_subgroup_q(a: GElement, q: int) -> bool:
     """True iff a^q is the identity, i.e. a lies in the order-q subgroup."""
     if a.group.n % q != 0:

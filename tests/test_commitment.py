@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
 from paircommit import (
     BINDING,
+    Commitment,
     CommitmentKey,
     ExtractionKey,
     HIDING,
@@ -23,6 +25,8 @@ from paircommit import (
     homomorphic_combine,
     is_in_subgroup_q,
     key_fingerprint,
+    setup_curve,
+    setup_transparent,
     trapdoor_open,
     verify,
     wi_prove,
@@ -188,6 +192,105 @@ class TestExtraction:
         bad = ExtractionKey(ck, 7)
         with pytest.raises(ValueError):
             extract(bad, commit(ck, 0, 1))
+
+
+def scan_extract(xk, c, bound):
+    """The test oracle for extract: scan m upward from 0 until (g^q)^m
+    matches c^q, in payload space; None when no m < bound fits."""
+    ctx = xk.ck.context
+    target = (c.c ** xk.q).value
+    step = (ctx.g ** xk.q).value
+    acc = ctx._el_identity
+    for m in range(bound):
+        if acc == target:
+            return m
+        acc = ctx._el_mul(acc, step)
+    return None
+
+
+def _bounds(p):
+    return sorted({0, 1, 2, 3, 4, 15, 16, 17, p - 1, p, p + 1, 255, 256, 257, 2 ** 16})
+
+
+def _wide(backend):
+    """A context at (257, 263): p straddles the key's 256 baby steps."""
+    if backend == "transparent":
+        return setup_transparent(257, 263)
+    return setup_curve(257, 263, random.Random(7))
+
+
+class TestExtractionOracle:
+    """Baby-step giant-step against the scan it replaced."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["p5", "p257"])
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_matches_scan(self, backend, wide, t35, c35):
+        ctx = _wide(backend) if wide else (t35 if backend == "transparent" else c35)
+        ck, xk = binding_key_from_exponent(ctx, 3)
+        fp, p = key_fingerprint(ck), ctx.p
+        for bound in _bounds(p):
+            # m >= p is no message; such a c is built directly
+            for m in {bound - 1, bound, bound + 1} - {-1}:
+                c = Commitment(ctx.g ** m * ck.h ** 5, fp)
+                want = scan_extract(xk, c, bound)
+                # the discrete log is unique mod p: the smallest m is m mod p
+                assert want == (m % p if m % p < bound else None)
+                if want is None:
+                    with pytest.raises(NotExtractable):
+                        extract(xk, c, bound)
+                else:
+                    assert extract(xk, c, bound) == want
+
+    def test_outside_subgroup_never_extracts(self, c35):
+        """(0, 0) is a curve point of order 2, outside the order-n group, so
+        c^q is no power of g^q; every element of G has an m mod p."""
+        ck, xk = binding_key_from_exponent(c35, 3)
+        c = Commitment(c35.element((0, 0)), key_fingerprint(ck))
+        for bound in _bounds(c35.p):
+            assert scan_extract(xk, c, bound) is None
+            with pytest.raises(NotExtractable):
+                extract(xk, c, bound)
+
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_table_built_once(self, backend, monkeypatch):
+        """The first extract under a key builds its 256 baby steps; a later
+        one makes only its giant steps, at most ceil(bound/256) + 2 calls."""
+        ctx = _wide(backend)
+        ck, xk = binding_key_from_exponent(ctx, 3)
+        assert xk._steps is None  # building a key builds no table
+        c5, c256 = commit(ck, 5, 9), commit(ck, 256, 9)
+        calls = []
+        el_mul = ctx._el_mul
+
+        def counted(a, b):
+            calls.append(1)
+            return el_mul(a, b)
+
+        monkeypatch.setattr(ctx, "_el_mul", counted)
+
+        def count(c, bound=2 ** 16):
+            del calls[:]
+            try:
+                return extract(xk, c, bound), len(calls)
+            except NotExtractable:
+                return None, len(calls)
+
+        assert count(c256) == (256, 256 + 1)  # the table, then one giant step
+        steps = xk._steps
+        assert count(c5) == (5, 0)
+        assert count(c256) == (256, 1)
+        assert count(c256, 256) == (None, 1)
+        assert xk._steps is steps
+        if backend == "curve":
+            outside = Commitment(ctx.element((0, 0)), key_fingerprint(ck))
+            assert count(outside) == (None, 2 ** 16 // 256)
+
+    def test_table_left_out_of_equality(self, t35):
+        _, xk = binding_key_from_exponent(t35, 3)
+        _, twin = binding_key_from_exponent(t35, 3)
+        assert extract(xk, commit(xk.ck, 1, 2)) == 1
+        assert xk._steps is not None and twin._steps is None
+        assert xk == twin and hash(xk) == hash(twin) and repr(xk) == repr(twin)
 
 
 class TestTrapdoorOpening:

@@ -63,6 +63,23 @@ class TestKv:
         assert str(info.value) == f"{path}: byte {data.index(0xE9)} is not ASCII"
 
 
+    @pytest.mark.parametrize("kind", ["commitment-key\rX", "commit\x1b[2Jment"],
+                             ids=["carriage-return", "escape-sequence"])
+    def test_wrong_kind_quoted(self, tmp_path, t35, kind):
+        """The kind used to go into the message raw, so a carriage return or
+        a terminal escape sequence reached the reader's terminal."""
+        ck, _ = binding_key_from_exponent(t35, 3)
+        path = tmp_path / "ck.txt"
+        fileio.save_commitment_key(path, ck)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"kind=commitment-key\n", f"kind={kind}\n".encode()))
+        with pytest.raises(MalformedText) as info:
+            fileio.load_commitment_key(path)
+        assert str(info.value) == (f"{path}: expected kind='commitment-key', "
+                                   f"got kind={kind!r}")
+        assert "\r" not in str(info.value) and "\x1b" not in str(info.value)
+
+
 class TestContextFiles:
     def test_transparent_roundtrip(self, tmp_path, t35):
         path = tmp_path / "ctx.txt"

@@ -1,11 +1,15 @@
-"""Forgery procedure, audit oracle, claim report, and the brute-force census."""
+"""Forgery procedure, audit oracle, claim report, and the census."""
+
+from math import gcd
 
 import pytest
 
 from paircommit import (
+    BINDING,
     COMMITS_TO_0,
     COMMITS_TO_1,
     Commitment,
+    CommitmentKey,
     INVALID,
     accepting_census,
     audit,
@@ -16,6 +20,7 @@ from paircommit import (
     forge,
     gen_prime,
     hiding_key_from_exponent,
+    hiding_keygen,
     is_in_subgroup_q,
     key_fingerprint,
     setup_curve,
@@ -208,7 +213,8 @@ class TestCensus:
         assert result.accepting_c_by_verdict[INVALID] == 0
 
     def test_accepting_pairs_reverify(self, t15):
-        """Self-consistency: every pair the census marks accepting re-verifies."""
+        """The n^2 oracle: each row counts the pi that verify accepts with its
+        c, and verify agrees with the exponent equation c(c-1) = h*pi."""
         from paircommit import Commitment, WIProof
         ck, _ = binding_key_from_exponent(t15, 1)
         fp = key_fingerprint(ck)
@@ -216,12 +222,70 @@ class TestCensus:
         verified = 0
         for row in result.rows:
             c = Commitment(t15.g ** row.c_exp, fp)
+            accepted = 0
             for pi_exp in range(15):
                 expected = row.c_exp * (row.c_exp - 1) % 15 == 3 * pi_exp % 15
                 ok = verify(ck, c, WIProof(t15.g ** pi_exp, fp))
                 assert ok == expected
-                verified += ok
+                accepted += ok
+            assert row.accepting_pi_count == accepted
+            verified += accepted
         assert verified == result.accepting_pairs
+
+    def test_rows_carry_audit_verdict(self, t15, t35, rng):
+        """Each row's label is what `audit` says of its c, under binding
+        and hiding keys."""
+        for ctx in (t15, t35):
+            for keygen in (binding_keygen, hiding_keygen):
+                ck, _ = keygen(ctx, rng)
+                fp = key_fingerprint(ck)
+                for row in accepting_census(ctx, ck).rows:
+                    c = Commitment(ctx.g ** row.c_exp, fp)
+                    assert row.verdict_label == audit(ctx.q, ck, c).label
+
+    @staticmethod
+    def _assert_closed_form(ctx, ck):
+        # c(c-1) = h*pi (mod n) has d = gcd(h, n) solutions pi when d
+        # divides c(c-1), and none otherwise
+        d = gcd(ck.h.value, ctx.n)
+        for row in accepting_census(ctx, ck).rows:
+            e = row.c_exp
+            assert row.accepting_pi_count == (d if e * (e - 1) % d == 0 else 0)
+        return d
+
+    @pytest.mark.parametrize("pq", [(3, 5), (5, 7), (11, 13), (61, 67)],
+                             ids=["n15", "n35", "n143", "n4087"])
+    def test_closed_form(self, pq, rng):
+        """The count per row is gcd(h, n) or 0: p for a binding key, 1 for a
+        hiding one."""
+        ctx = setup_transparent(*pq)
+        ck, _ = binding_keygen(ctx, rng)
+        assert self._assert_closed_form(ctx, ck) == ctx.p
+        ck, _ = hiding_keygen(ctx, rng)
+        assert self._assert_closed_form(ctx, ck) == 1
+
+    def test_closed_form_every_h(self, t15, t35):
+        """The same count for every h of G, the identity (d = n) included."""
+        for ctx in (t15, t35):
+            for h_exp in range(ctx.n):
+                self._assert_closed_form(ctx, CommitmentKey(ctx, ctx.g ** h_exp, BINDING))
+
+    @pytest.mark.parametrize("pq", [(3, 5), (5, 7)], ids=["n15", "n35"])
+    def test_every_forgery_commits_to_1(self, pq):
+        """The forgery census: at every x and every beta1 the forged c audits
+        as CommitsTo1, and the census accepts it with p proofs."""
+        p, q = pq
+        ctx = setup_transparent(p, q)
+        for x in range(1, q):
+            ck, _ = binding_key_from_exponent(ctx, x)
+            result = accepting_census(ctx, ck)
+            accepting = result.accepting_exponents()
+            for beta1 in range(ctx.n):
+                c = forge(ck, p, q, beta1=beta1).c
+                assert audit(q, ck, c).label == COMMITS_TO_1
+                row = result.rows[c.c.value]
+                assert c.c.value in accepting
+                assert (row.accepting_pi_count, row.verdict_label) == (p, COMMITS_TO_1)
 
     def test_consistency_with_audit(self, t35, t15, rng):
         """Accepting-c set equals the audit's non-Invalid set."""
