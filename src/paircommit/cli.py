@@ -7,6 +7,9 @@ inspectable and diffable. A --seed pins the Mersenne Twister rng
 
 Exit codes: 0 success / proof accepted, 1 proof rejected or selftest
 failure, 2 malformed input or usage error.
+
+A call makes the argument parser of its own command alone; help and
+usage errors read as from the parser with every command.
 """
 
 import argparse
@@ -130,9 +133,13 @@ def cmd_open(args) -> int:
 
 
 def _owned_extraction_key(args) -> ExtractionKey:
-    """The --secret extraction key, checked to belong to the --ck public key."""
+    """The --secret extraction key, checked to belong to the --ck public key.
+
+    A --ck file that lists exactly the secret's public key loads as that
+    key, already checked, so no second context is built for it.
+    """
     xk = fileio.load_extraction_key(args.secret)
-    ck = fileio.load_commitment_key(args.ck)
+    ck = fileio.load_commitment_key(args.ck, same_as=xk.ck)
     if key_fingerprint(ck) != key_fingerprint(xk.ck):
         raise PairCommitError("secret file does not belong to the public key")
     return xk
@@ -183,14 +190,7 @@ def cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="paircommit",
-        description="composite-order pairing commitment lab: honest protocol, "
-                    "forgery, and audit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("params", help="generate group parameters")
+def _params_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--bits-p", type=int, required=True)
     sp.add_argument("--bits-q", type=int, required=True)
     sp.add_argument("--backend", choices=(TRANSPARENT, CURVE), required=True)
@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="context file to write")
     sp.set_defaults(func=cmd_params)
 
-    sp = sub.add_parser("keygen", help="generate a commitment key pair")
+
+def _keygen_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mode", choices=(BINDING, HIDING), required=True)
     sp.add_argument("--context", required=True)
     sp.add_argument("--out-ck", required=True)
@@ -206,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.set_defaults(func=cmd_keygen)
 
-    sp = sub.add_parser("commit", help="commit to a message")
+
+def _commit_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ck", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--r", type=int, help="randomizer; sampled when omitted")
@@ -215,25 +217,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-opening")
     sp.set_defaults(func=cmd_commit)
 
-    sp = sub.add_parser("prove", help="prove a commitment opens to 0 or 1")
+
+def _prove_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ck", required=True)
     sp.add_argument("--opening", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_prove)
 
-    sp = sub.add_parser("verify", help="check a proof (exit 0 accept, 1 reject)")
+
+def _verify_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ck", required=True)
     sp.add_argument("--commitment", required=True)
     sp.add_argument("--proof", required=True)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("extract", help="recover the message with the extraction key")
+
+def _extract_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--secret", required=True, help="extraction key file")
     sp.add_argument("--commitment", required=True)
     sp.add_argument("--bound", type=int, default=DEFAULT_EXTRACT_BOUND)
     sp.set_defaults(func=cmd_extract)
 
-    sp = sub.add_parser("open", help="re-open a hiding commitment via the trapdoor")
+
+def _open_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--secret", required=True, help="trapdoor key file")
     sp.add_argument("--commitment", required=True)
     sp.add_argument("--opening", required=True)
@@ -241,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_open)
 
-    sp = sub.add_parser("forge", help="build an accepting proof from the factorization")
+
+def _forge_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ck", required=True)
     sp.add_argument("--secret", required=True, help="extraction key file")
     sp.add_argument("--beta1", type=int)
@@ -249,27 +256,70 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_forge)
 
-    sp = sub.add_parser("audit", help="classify a commitment with the subgroup probes")
+
+def _audit_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--secret", required=True, help="extraction key file")
     sp.add_argument("--ck", required=True)
     sp.add_argument("--commitment", required=True)
     sp.set_defaults(func=cmd_audit)
 
-    sp = sub.add_parser("census", help="count the accepting pi of every c, with its audit verdict")
+
+def _census_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--ck", required=True)
     sp.add_argument("--secret", required=True, help="extraction key file")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_census)
 
-    sp = sub.add_parser("selftest", help="check every claim of the lab at small primes")
+
+def _selftest_arguments(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int)
     sp.set_defaults(func=cmd_selftest)
 
+
+# name -> (help line, what adds the command's arguments and its func)
+_COMMANDS = {
+    "params": ("generate group parameters", _params_arguments),
+    "keygen": ("generate a commitment key pair", _keygen_arguments),
+    "commit": ("commit to a message", _commit_arguments),
+    "prove": ("prove a commitment opens to 0 or 1", _prove_arguments),
+    "verify": ("check a proof (exit 0 accept, 1 reject)", _verify_arguments),
+    "extract": ("recover the message with the extraction key", _extract_arguments),
+    "open": ("re-open a hiding commitment via the trapdoor", _open_arguments),
+    "forge": ("build an accepting proof from the factorization", _forge_arguments),
+    "audit": ("classify a commitment with the subgroup probes", _audit_arguments),
+    "census": ("count the accepting pi of every c, with its audit verdict", _census_arguments),
+    "selftest": ("check every claim of the lab at small primes", _selftest_arguments),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The paircommit parser for an argv whose first item is command.
+
+    When command is a command name, only that command's sub-parser is
+    made: argparse hands every later argument to it, so the others would
+    go unused, and making them is most of the parser's cost. Any other
+    first item (none, a wrong command, a top-level --help) gets every
+    sub-parser."""
+    parser = argparse.ArgumentParser(
+        prog="paircommit",
+        description="composite-order pairing commitment lab: honest protocol, "
+                    "forgery, and audit")
+    one = command in _COMMANDS
+    # with one sub-parser, the choices are spelled out, so that the usage
+    # line of an error found after it ran still lists every command
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if name == command or not one:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

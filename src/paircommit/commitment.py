@@ -57,7 +57,7 @@ class ExtractionKey:
 
     ck: CommitmentKey
     q: int
-    # extract's baby steps to the base g^q, built at the key's first extract
+    # extract's baby steps to the base g^q, made as extracts need them
     _steps: Optional[BabySteps] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

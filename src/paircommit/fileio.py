@@ -1,10 +1,11 @@
 """Line-oriented key=value files for every artifact the lab produces.
 
 All integers are decimal strings; group elements use the text encodings
-from the groups module. Field order is fixed per file kind so that
-seeded runs are byte-identical. Secret key files embed the public key
-they belong to (xk = (ck, q), tk = (ck, x)); public key files never
-carry p, q, or any secret exponent.
+from the groups module. Each file kind has one exact field list, in a
+fixed order, so that seeded runs are byte-identical and a file loads only
+as it was written: an unknown or out-of-order field is MalformedText.
+Secret key files embed the public key they belong to (xk = (ck, q),
+tk = (ck, x)); public key files never carry p, q, or any secret exponent.
 """
 
 from contextlib import contextmanager
@@ -90,6 +91,23 @@ def _take(fields: Dict[str, str], key: str, where: str) -> str:
     return fields[key]
 
 
+def _check_layout(fields: Dict[str, str], written: List[Tuple[str, str]],
+                  where: str) -> None:
+    """Refuse fields that are not the names the writer gives, in its order:
+    each loader checks a file against the writer of the object it built."""
+    got, names = list(fields), [key for key, _ in written]
+    if got == names:
+        return
+    for key in got:
+        if key not in names:
+            raise MalformedText(f"{where}: unknown field {key!r}")
+    for key in names:
+        if key not in fields:
+            raise MalformedText(f"{where}: missing field {key!r}")
+    key, want = next((a, b) for a, b in zip(got, names) if a != b)
+    raise MalformedText(f"{where}: field {key!r} is out of order, expected {want!r}")
+
+
 @contextmanager
 def _naming(where: str, key: str):
     """Prefix a DeserializeError with the file and field it came from."""
@@ -138,7 +156,9 @@ def load_context(path: PathLike) -> GroupContext:
     fields = read_kv(path)
     p = _take_int(fields, "p", where)
     q = _take_int(fields, "q", where)
-    return _context_from_fields(fields, where, p * q, p, q)
+    ctx = _context_from_fields(fields, where, p * q, p, q)
+    _check_layout(fields, context_fields(ctx), where)
+    return ctx
 
 
 def _context_from_fields(fields: Dict[str, str], where: str, n: int,
@@ -166,6 +186,7 @@ def _context_from_fields(fields: Dict[str, str], where: str, n: int,
 
 def _key_from_fields(fields: Dict[str, str], where: str,
                      p: Optional[int] = None, q: Optional[int] = None) -> CommitmentKey:
+    """The public key a key file lists."""
     mode = _take(fields, "mode", where)
     if mode not in (BINDING, HIDING):
         raise MalformedText(f"{where}: unknown mode {mode!r}")
@@ -179,17 +200,33 @@ def _key_from_fields(fields: Dict[str, str], where: str,
     return CommitmentKey(ctx, _take_element(fields, "h", where, ctx), mode)
 
 
+def _commitment_key_fields(ck: CommitmentKey) -> List[Tuple[str, str]]:
+    return [("kind", "commitment-key")] + key_fields(ck)
+
+
 def save_commitment_key(path: PathLike, ck: CommitmentKey) -> None:
-    write_kv(path, [("kind", "commitment-key")] + key_fields(ck))
+    write_kv(path, _commitment_key_fields(ck))
 
 
-def load_commitment_key(path: PathLike) -> CommitmentKey:
+def load_commitment_key(path: PathLike,
+                        same_as: Optional[CommitmentKey] = None) -> CommitmentKey:
+    """The key the file lists. A file that lists exactly the key same_as,
+    which its caller has already checked, loads as same_as, and no second
+    context is built for it."""
     fields, where = _read(path, "commitment-key")
-    return _key_from_fields(fields, where)
+    if same_as is not None and list(fields.items()) == _commitment_key_fields(same_as):
+        return same_as
+    ck = _key_from_fields(fields, where)
+    _check_layout(fields, _commitment_key_fields(ck), where)
+    return ck
+
+
+def _extraction_key_fields(xk: ExtractionKey) -> List[Tuple[str, str]]:
+    return [("kind", "extraction-key")] + key_fields(xk.ck) + [("q", str(xk.q))]
 
 
 def save_extraction_key(path: PathLike, xk: ExtractionKey) -> None:
-    write_kv(path, [("kind", "extraction-key")] + key_fields(xk.ck) + [("q", str(xk.q))])
+    write_kv(path, _extraction_key_fields(xk))
 
 
 def load_extraction_key(path: PathLike) -> ExtractionKey:
@@ -209,11 +246,17 @@ def load_extraction_key(path: PathLike) -> ExtractionKey:
         raise MalformedText(f"{where}: q={q} is not the larger prime factor")
     ck = _key_from_fields(fields, where, p=p, q=q)
     with _naming(where, "h"):
-        return ExtractionKey(ck, q)
+        xk = ExtractionKey(ck, q)
+    _check_layout(fields, _extraction_key_fields(xk), where)
+    return xk
+
+
+def _trapdoor_key_fields(tk: TrapdoorKey) -> List[Tuple[str, str]]:
+    return [("kind", "trapdoor-key")] + key_fields(tk.ck) + [("x", str(tk.x))]
 
 
 def save_trapdoor_key(path: PathLike, tk: TrapdoorKey) -> None:
-    write_kv(path, [("kind", "trapdoor-key")] + key_fields(tk.ck) + [("x", str(tk.x))])
+    write_kv(path, _trapdoor_key_fields(tk))
 
 
 def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
@@ -225,7 +268,9 @@ def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
             raise SecretKeyMismatch(f"x={x} shares a factor with n={ck.context.n}")
         if ck.context.g ** x != ck.h:
             raise SecretKeyMismatch(f"g^{x} is not the key's h")
-    return TrapdoorKey(ck, x)
+    tk = TrapdoorKey(ck, x)
+    _check_layout(fields, _trapdoor_key_fields(tk), where)
+    return tk
 
 
 # ---------------------------------------------------------------------------
@@ -249,39 +294,53 @@ def _read_artifact(path: PathLike, kind: str,
     return fields, where
 
 
+def _commitment_fields(com: Commitment, ck: CommitmentKey) -> List[Tuple[str, str]]:
+    return _artifact("commitment", ck, com.key_fp, [("c", com.c.to_text())])
+
+
 def save_commitment(path: PathLike, com: Commitment, ck: CommitmentKey) -> None:
-    write_kv(path, _artifact("commitment", ck, com.key_fp, [("c", com.c.to_text())]))
+    write_kv(path, _commitment_fields(com, ck))
 
 
 def load_commitment(path: PathLike, ck: CommitmentKey) -> Commitment:
     fields, where = _read_artifact(path, "commitment", ck)
-    return Commitment(_take_element(fields, "c", where, ck.context), fields["key"])
+    com = Commitment(_take_element(fields, "c", where, ck.context), fields["key"])
+    _check_layout(fields, _commitment_fields(com, ck), where)
+    return com
+
+
+def _proof_fields(proof: WIProof, ck: CommitmentKey) -> List[Tuple[str, str]]:
+    return _artifact("proof", ck, proof.key_fp, [("pi", proof.pi.to_text())])
 
 
 def save_proof(path: PathLike, proof: WIProof, ck: CommitmentKey) -> None:
-    write_kv(path, _artifact("proof", ck, proof.key_fp, [("pi", proof.pi.to_text())]))
+    write_kv(path, _proof_fields(proof, ck))
 
 
 def load_proof(path: PathLike, ck: CommitmentKey) -> WIProof:
     fields, where = _read_artifact(path, "proof", ck)
-    return WIProof(_take_element(fields, "pi", where, ck.context), fields["key"])
+    proof = WIProof(_take_element(fields, "pi", where, ck.context), fields["key"])
+    _check_layout(fields, _proof_fields(proof, ck), where)
+    return proof
+
+
+def _opening_fields(opening: Opening) -> List[Tuple[str, str]]:
+    return [("kind", "opening"), ("m", str(opening.m)), ("r", str(opening.r))]
 
 
 def save_opening(path: PathLike, opening: Opening) -> None:
-    write_kv(path, [
-        ("kind", "opening"),
-        ("m", str(opening.m)),
-        ("r", str(opening.r)),
-    ])
+    write_kv(path, _opening_fields(opening))
 
 
 def load_opening(path: PathLike) -> Opening:
     fields, where = _read(path, "opening")
-    return Opening(_take_int(fields, "m", where), _take_int(fields, "r", where))
+    opening = Opening(_take_int(fields, "m", where), _take_int(fields, "r", where))
+    _check_layout(fields, _opening_fields(opening), where)
+    return opening
 
 
-def save_forgery(path: PathLike, rec: ForgeryRecord, ck: CommitmentKey) -> None:
-    write_kv(path, _artifact("forgery", ck, rec.c.key_fp, [
+def _forgery_fields(rec: ForgeryRecord, ck: CommitmentKey) -> List[Tuple[str, str]]:
+    return _artifact("forgery", ck, rec.c.key_fp, [
         ("k_a", str(rec.k_a)),
         ("ell", str(rec.ell)),
         ("alpha1", str(rec.alpha1)),
@@ -290,7 +349,11 @@ def save_forgery(path: PathLike, rec: ForgeryRecord, ck: CommitmentKey) -> None:
         ("beta2", str(rec.beta2)),
         ("c", rec.c.c.to_text()),
         ("pi", rec.pi.pi.to_text()),
-    ]))
+    ])
+
+
+def save_forgery(path: PathLike, rec: ForgeryRecord, ck: CommitmentKey) -> None:
+    write_kv(path, _forgery_fields(rec, ck))
 
 
 def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
@@ -298,7 +361,7 @@ def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
     c = _take_element(fields, "c", where, ck.context)
     pi = _take_element(fields, "pi", where, ck.context)
     tag = fields["key"]
-    return ForgeryRecord(
+    rec = ForgeryRecord(
         k_a=_take_int(fields, "k_a", where),
         ell=_take_int(fields, "ell", where),
         alpha1=_take_int(fields, "alpha1", where),
@@ -308,6 +371,8 @@ def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
         c=Commitment(c, tag),
         pi=WIProof(pi, tag),
     )
+    _check_layout(fields, _forgery_fields(rec, ck), where)
+    return rec
 
 
 def verdict_fields(verdict: Verdict) -> List[Tuple[str, str]]:

@@ -495,19 +495,35 @@ class BabySteps:
     """Baby-step giant-step (Shanks) to one base a: the payload of a^j for
     each j < width, keeping the first j per payload, and the giant step
     a^-width. Payload operations only, so both backends share it; whoever
-    takes many logs to one base keeps its table."""
+    takes many logs to one base keeps its table.
 
-    __slots__ = ("base", "width", "table", "giant")
+    The table grows inside log, only as far as a target needs: each new
+    baby step is compared with the target as it is made, so a log of
+    j < width makes at most j + 1 steps and a bound b at most b. All width
+    steps are made only for a target the table does not hold."""
+
+    __slots__ = ("base", "width", "table", "giant", "_made", "_acc")
 
     def __init__(self, base: GElement, width: int):
-        ctx = base.group
-        table: Dict[object, int] = {}
-        acc = ctx._el_identity
-        for j in range(width):
+        self.base, self.width, self.table = base, width, {}
+        self._made, self._acc = 0, base.group._el_identity  # j and a^j of the next step
+        self.giant = None  # a^-width, set once all width steps are made
+
+    def _grow(self, y, stop: int) -> Optional[int]:
+        """Make the baby steps below stop (at most width), until one is y;
+        the j of that step, or None."""
+        ctx, a, table = self.base.group, self.base.value, self.table
+        j, acc = self._made, self._acc
+        found = None
+        while j < stop and found is None:
+            if acc == y:
+                found = j
             table.setdefault(acc, j)
-            acc = ctx._el_mul(acc, base.value)
-        self.base, self.width, self.table = base, width, table
-        self.giant = ctx._el_inv(acc)
+            j, acc = j + 1, ctx._el_mul(acc, a)
+        self._made, self._acc = j, acc
+        if j == self.width:
+            self.giant = ctx._el_inv(acc)
+        return found
 
     def log(self, target: GElement, bound: int) -> Optional[int]:
         """The smallest m < bound with base^m == target, or None. Giant
@@ -515,8 +531,17 @@ class BabySteps:
         first hit is the least m, as the table keeps the least j per
         payload."""
         _same_group(self.base, target)
-        mul, table, giant = self.base.group._el_mul, self.table, self.giant
         y = target.value
+        if self.giant is None:
+            # the table is still growing: the steps made, then new ones
+            j = self.table.get(y)
+            if j is None:
+                j = self._grow(y, min(bound, self.width))
+            if j is not None:
+                return j if j < bound else None
+            if self.giant is None:
+                return None  # every step below bound is made, and none is y
+        mul, table, giant = self.base.group._el_mul, self.table, self.giant
         for i in range(0, bound, self.width):
             j = table.get(y)
             if j is not None:

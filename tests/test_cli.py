@@ -534,6 +534,15 @@ def _set_field(path, name, value):
                             for line in lines))
 
 
+def _two_key_argv(cmd, ck, xk, c, out):
+    return {
+        "audit": ("audit", "--secret", str(xk), "--ck", str(ck), "--commitment", str(c)),
+        "forge": ("forge", "--ck", str(ck), "--secret", str(xk), "--beta1", "2",
+                  "--out", str(out)),
+        "census": ("census", "--ck", str(ck), "--secret", str(xk), "--out", str(out)),
+    }[cmd]
+
+
 class TestForgedPipeline:
     def test_forge_verify_audit(self, capsys, workdir):
         """Forged proof passes verify; audit reports the probe elements."""
@@ -669,9 +678,105 @@ class TestErrors:
             "--out-ck", str(ck1), "--out-secret", str(xk1), "--seed", "2")
         run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
             "--out-ck", str(ck2), "--out-secret", str(xk2), "--seed", "3")
-        code, _, err = run(capsys, "forge", "--ck", str(ck1), "--secret", str(xk2),
-                           "--beta1", "2", "--out", str(workdir / "f.txt"))
-        assert code == 2 and "error:" in err
+        c, out_file = workdir / "c.txt", workdir / "out.txt"
+        run(capsys, "commit", "--ck", str(ck1), "--m", "1", "--r", "2", "--out", str(c))
+        for cmd in ("audit", "forge", "census"):
+            code, out, err = run(capsys, *_two_key_argv(cmd, ck1, xk2, c, out_file))
+            assert (code, out) == (2, "") and not out_file.exists()
+            assert err == "error: secret file does not belong to the public key\n"
+
+
+class TestParser:
+    """main makes only the named command's sub-parser; what it parses,
+    prints and exits with is what the parser with every command gives."""
+
+    VALID = {
+        "params": ["--bits-p", "5", "--bits-q", "6", "--backend", "curve", "--out", "x"],
+        "keygen": ["--mode", "hiding", "--context", "c", "--out-ck", "a", "--out-secret", "b"],
+        "commit": ["--ck", "a", "--m", "1", "--out", "c", "--out-opening", "o"],
+        "prove": ["--ck", "a", "--opening", "o", "--out", "p"],
+        "verify": ["--ck", "a", "--commitment", "c", "--proof", "p"],
+        "extract": ["--secret", "s", "--commitment", "c"],
+        "open": ["--secret", "s", "--commitment", "c", "--opening", "o", "--m-new", "1",
+                 "--out", "x"],
+        "forge": ["--ck", "a", "--secret", "s", "--beta1", "2", "--out", "f"],
+        "audit": ["--secret", "s", "--ck", "a", "--commitment", "c"],
+        "census": ["--ck", "a", "--secret", "s"],
+        "selftest": ["--seed", "1"],
+    }
+
+    def test_one_command_parses_as_all(self):
+        from paircommit.cli import _COMMANDS, build_parser
+        assert sorted(self.VALID) == sorted(_COMMANDS)
+        for name, rest in self.VALID.items():
+            argv = [name] + rest
+            assert vars(build_parser(name).parse_args(argv)) == vars(build_parser().parse_args(argv))
+            other = "verify" if name == "selftest" else "selftest"
+            with pytest.raises(SystemExit) as done:  # the only sub-parser is name's
+                build_parser(name).parse_args([other])
+            assert done.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h", "verify"], ["frobnicate"], ["--bogus", "verify"],
+        ["verify", "--help"], ["census", "-h"], ["verify"], ["params", "--bits-p", "x"],
+        ["params", "--backend", "quantum"], ["selftest", "--seed"],
+        ["verify", "--ck", "a", "--commitment", "c", "--proof", "p", "--extra"],
+        ["verify", "--ck", "a", "--commitment", "c", "--proof", "p", "stray"],
+    ])
+    def test_help_and_usage_errors_match_all(self, capsys, argv):
+        from paircommit.cli import build_parser
+        code, out, err = run(capsys, *argv)
+        with pytest.raises(SystemExit) as done:
+            build_parser().parse_args(argv)
+        every = capsys.readouterr()
+        assert (code, out, err) == (done.value.code, every.out, every.err)
+        assert "usage: paircommit" in out + err
+
+
+class TestTwoKeyCalls:
+    """forge, audit and census read --ck and --secret, and build one
+    context when both list the same public key."""
+
+    def _keys(self, capsys, workdir, backend):
+        ctx, _ = _make_params(capsys, workdir, backend=backend)
+        ck, xk, c = workdir / "ck.txt", workdir / "xk.txt", workdir / "c.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2", "--out", str(c))
+        return ck, xk, c
+
+    @pytest.mark.parametrize("cmd, backend", [
+        ("audit", TRANSPARENT), ("audit", CURVE), ("forge", TRANSPARENT), ("forge", CURVE),
+        ("census", TRANSPARENT)])  # the census runs on the transparent backend alone
+    def test_one_context(self, capsys, workdir, monkeypatch, backend, cmd):
+        from paircommit.groups import GroupContext
+        ck, xk, c = self._keys(capsys, workdir, backend)
+        built = []
+        init = GroupContext.__init__
+
+        def counted(self, *args):
+            built.append(type(self).__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(GroupContext, "__init__", counted)
+        code, out, err = run(capsys, *_two_key_argv(cmd, ck, xk, c, workdir / "out.txt"))
+        assert (code, err) == (0, "")
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("h=G:", "h=G:x"), "field 'h':"),
+        (lambda text: text + "colour=blue\n", "unknown field 'colour'"),
+        (lambda text: "".join(reversed(text.splitlines(keepends=True))),
+         "field 'h' is out of order, expected 'kind'"),
+    ], ids=["bad-element", "unknown-field", "reversed"])
+    @pytest.mark.parametrize("cmd", ["audit", "forge", "census"])
+    def test_malformed_ck_is_named(self, capsys, workdir, cmd, edit, message):
+        ck, xk, c = self._keys(capsys, workdir, TRANSPARENT)
+        ck.write_text(edit(ck.read_text()))
+        out_file = workdir / "out.txt"
+        code, out, err = run(capsys, *_two_key_argv(cmd, ck, xk, c, out_file))
+        assert (code, out) == (2, "") and not out_file.exists()
+        assert err.startswith(f"error: {ck}: {message}"), err
 
 
 class TestSelftest:

@@ -285,6 +285,68 @@ class TestExtractionOracle:
             outside = Commitment(ctx.element((0, 0)), key_fingerprint(ck))
             assert count(outside) == (None, 2 ** 16 // 256)
 
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_fresh_key_matches_scan(self, backend):
+        """A fresh key's table is made while extract looks for the target;
+        it still answers the least m, for every m below a bound past two
+        widths, and for a bound at, below and above that m."""
+        ctx = _wide(backend)
+        ck, _ = binding_key_from_exponent(ctx, 3)
+        fp, bound = key_fingerprint(ck), 2 * 256 + 3
+        for m in range(bound):
+            c = Commitment(ctx.g ** m * ck.h ** 5, fp)
+            want = scan_extract(ExtractionKey(ck, ctx.q), c, bound)
+            assert want == m % ctx.p
+            for b in (bound, m + 1, m, 1):
+                xk = ExtractionKey(ck, ctx.q)
+                try:
+                    got = extract(xk, c, b)
+                except NotExtractable:
+                    got = None
+                assert got == (want if want < b else None), (m, b)
+
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_part_made_table_matches_scan(self, backend):
+        """Targets and bounds in a random order leave the table part made
+        at every length; each extract still answers as the scan does."""
+        ctx = _wide(backend)
+        ck, xk = binding_key_from_exponent(ctx, 3)
+        fp, rng = key_fingerprint(ck), random.Random(5)
+        for _ in range(300):
+            m = rng.randrange(2 * ctx.p)
+            bound = rng.choice([0, 1, 2, m, m + 1, rng.randrange(600), 256, 257, 2 ** 16])
+            c = Commitment(ctx.g ** m * ck.h ** rng.randrange(ctx.n), fp)
+            want = scan_extract(xk, c, bound)
+            try:
+                got = extract(xk, c, bound)
+            except NotExtractable:
+                got = None
+            assert got == want, (m, bound)
+
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_fresh_key_stops_at_the_target(self, backend, monkeypatch):
+        """A fresh key's first extract of m < 256 makes m + 1 baby steps, not
+        256; a bound b stops it after b."""
+        ctx = _wide(backend)
+        ck, _ = binding_key_from_exponent(ctx, 3)
+        coms = {m: commit(ck, m, 9) for m in (0, 1, 7, 200)}
+        keys = [ExtractionKey(ck, ctx.q) for _ in range(5)]
+        calls = []
+        el_mul = ctx._el_mul
+
+        def counted(a, b):
+            calls.append(1)
+            return el_mul(a, b)
+
+        monkeypatch.setattr(ctx, "_el_mul", counted)
+        for xk, m in zip(keys, coms):
+            assert extract(xk, coms[m]) == m
+            assert len(calls) == m + 1
+            del calls[:]
+        with pytest.raises(NotExtractable):
+            extract(keys[-1], coms[200], 3)
+        assert len(calls) == 3
+
     def test_table_left_out_of_equality(self, t35):
         _, xk = binding_key_from_exponent(t35, 3)
         _, twin = binding_key_from_exponent(t35, 3)

@@ -239,6 +239,74 @@ def _replace_field(path, field, value):
                             else f"{line}\n" for line in lines))
 
 
+def _file_kinds(ctx, path):
+    """Kind name -> (save a file of that kind to path, its loader)."""
+    ck, xk = binding_key_from_exponent(ctx, 3)
+    _, tk = hiding_key_from_exponent(ctx, 3)
+    return {
+        "context": (lambda: fileio.save_context(path, ctx), fileio.load_context),
+        "key": (lambda: fileio.save_commitment_key(path, ck), fileio.load_commitment_key),
+        "extraction-key": (lambda: fileio.save_extraction_key(path, xk),
+                           fileio.load_extraction_key),
+        "trapdoor-key": (lambda: fileio.save_trapdoor_key(path, tk), fileio.load_trapdoor_key),
+        "commitment": (lambda: fileio.save_commitment(path, commit(ck, 1, 2), ck),
+                       lambda p: fileio.load_commitment(p, ck)),
+        "proof": (lambda: fileio.save_proof(path, wi_prove(ck, 1, 2), ck),
+                  lambda p: fileio.load_proof(p, ck)),
+        "opening": (lambda: fileio.save_opening(path, Opening(1, 2)), fileio.load_opening),
+        "forgery": (lambda: fileio.save_forgery(path, forge(ck, ctx.p, ctx.q, beta1=2), ck),
+                    lambda p: fileio.load_forgery(p, ck)),
+    }
+
+
+@pytest.mark.parametrize("backend", ["transparent", "curve"])
+@pytest.mark.parametrize("kind", ["context", "key", "extraction-key", "trapdoor-key",
+                                  "commitment", "proof", "opening", "forgery"])
+class TestFieldLists:
+    """A file loads only with its kind's fields, in order. An unknown field
+    and a reordered file used to load and re-save to other bytes."""
+
+    def _saved(self, tmp_path, t35, c35, backend, kind):
+        path = tmp_path / f"{kind}.txt"
+        save, load = _file_kinds(t35 if backend == "transparent" else c35, path)[kind]
+        save()
+        return path, load, path.read_text().splitlines(keepends=True)
+
+    def test_unknown_field(self, tmp_path, t35, c35, backend, kind):
+        path, load, lines = self._saved(tmp_path, t35, c35, backend, kind)
+        path.write_text("".join(lines[:2] + ["colour=blue\n"] + lines[2:]))
+        with pytest.raises(MalformedText) as info:
+            load(path)
+        assert str(info.value) == f"{path}: unknown field 'colour'"
+
+    @pytest.mark.parametrize("order", ["reversed", "last-two-swapped"])
+    def test_out_of_order(self, tmp_path, t35, c35, backend, kind, order):
+        path, load, lines = self._saved(tmp_path, t35, c35, backend, kind)
+        moved = lines[::-1] if order == "reversed" else lines[:-2] + lines[:-3:-1]
+        path.write_text("".join(moved))
+        with pytest.raises(MalformedText) as info:
+            load(path)
+        got, want = (line.partition("=")[0] for line in
+                     next((a, b) for a, b in zip(moved, lines) if a != b))
+        assert str(info.value) == f"{path}: field {got!r} is out of order, expected {want!r}"
+
+
+@pytest.mark.parametrize("ctx_name", ["t35", "c35"])
+def test_load_commitment_key_same_as(request, tmp_path, ctx_name):
+    """A file listing exactly same_as loads as same_as itself; any other
+    file loads in full and is checked as usual."""
+    ctx = request.getfixturevalue(ctx_name)
+    (ck3, _), (ck4, _) = (binding_key_from_exponent(ctx, e) for e in (3, 4))
+    path = tmp_path / "ck.txt"
+    fileio.save_commitment_key(path, ck3)
+    assert fileio.load_commitment_key(path, same_as=ck3) is ck3
+    other = fileio.load_commitment_key(path, same_as=ck4)
+    assert other == ck3 and other is not ck3
+    path.write_text(path.read_text() + "colour=blue\n")
+    with pytest.raises(MalformedText, match="unknown field 'colour'"):
+        fileio.load_commitment_key(path, same_as=ck3)
+
+
 class TestMalformedFields:
     """A bad element in any file names the file and the field."""
 
@@ -261,20 +329,8 @@ class TestMalformedFields:
         ("commitment", "c", "G:+1,1", MalformedText),
     ])
     def test_curve(self, tmp_path, c35, kind, field, bad, error):
-        ck, xk = binding_key_from_exponent(c35, 3)
         path = tmp_path / f"{kind}.txt"
-        save, load = {
-            "context": (lambda: fileio.save_context(path, c35), fileio.load_context),
-            "key": (lambda: fileio.save_commitment_key(path, ck), fileio.load_commitment_key),
-            "extraction-key": (lambda: fileio.save_extraction_key(path, xk),
-                               fileio.load_extraction_key),
-            "commitment": (lambda: fileio.save_commitment(path, commit(ck, 1, 2), ck),
-                           lambda p: fileio.load_commitment(p, ck)),
-            "proof": (lambda: fileio.save_proof(path, wi_prove(ck, 1, 2), ck),
-                      lambda p: fileio.load_proof(p, ck)),
-            "forgery": (lambda: fileio.save_forgery(path, forge(ck, 5, 7, beta1=2), ck),
-                        lambda p: fileio.load_forgery(p, ck)),
-        }[kind]
+        save, load = _file_kinds(c35, path)[kind]
         save()
         _replace_field(path, field, bad)
         with pytest.raises(error) as info:
