@@ -21,8 +21,10 @@ class ExtGcdResult(NamedTuple):
     t: int
 
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3e24 (~2^81).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses making Miller-Rabin deterministic below psi_13 =
+# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017);
+# without 41, psi_12 = 318665857834031151167461 passes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -64,8 +66,8 @@ def is_probable_prime(n: int, rng: Optional[random.Random] = None, rounds: int =
     """Miller-Rabin primality test.
 
     Below 47^2 trial division by the small primes decides. Otherwise
-    runs the fixed witness set (deterministic below ~2^81) and adds
-    `rounds` random witnesses when an rng is supplied.
+    runs the fixed witness set (deterministic below psi_13, about
+    3.3e24), then `rounds` random witnesses when an rng is supplied.
     """
     if n < 2:
         return False

@@ -11,18 +11,20 @@ on the order-n subgroup.
 
 Points are affine (x, y) tuples of ints, with None for the point at
 infinity. F_fp2 elements are (a, b) tuples meaning a + b*i. `ec_add`
-is affine chord-and-tangent; `ec_mul` and the Miller loop work in
-Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, and
-pay one inversion each at the end. The Miller loop keeps no
-denominators: vertical lines and the F_fp factors of each line value
-lie in F_fp*, which the final exponent (fp - 1)*cofactor sends to 1.
+is affine chord-and-tangent; `ec_mul` and the Miller loop, which walks
+the NAF digits of n, work in Jacobian coordinates (x, y) = (X/Z^2,
+Y/Z^3), Z = 0 at infinity, and pay one inversion each at the end. The
+Miller loop keeps no denominators: vertical lines and the F_fp factors
+of each line value lie in F_fp*, which the final exponent
+(fp - 1)*cofactor sends to 1. An order check, `mul_is_infinity`, is
+Montgomery's x-only ladder, with no inversion at all.
 
 A point used again and again can bring its precomputation, which the
 caller owns and keeps: `doubling_table` gives the affine points 2^i*P,
 with which `ec_mul` makes only mixed additions, and the list that
-`tate_pairing` fills with P's Miller lines lets a later pairing with
-the same P replay them at Q without point arithmetic. Nothing is
-cached in this module.
+`tate_pairing` fills with P's Miller lines, each divided by its
+coefficient of i*y_Q, lets a later pairing with the same P replay them
+at Q with no point arithmetic. Nothing is cached in this module.
 """
 
 import random
@@ -33,8 +35,9 @@ from .errors import DegeneratePairing
 
 Point = Optional[Tuple[int, int]]
 Fp2 = Tuple[int, int]
-# a Miller line (A, B, C), whose value at (-x_Q, i*y_Q) is (A*x_Q + B) + i*C*y_Q
-Line = Tuple[int, int, int]
+# a recorded Miller line (A', B'): the line (A, B, C), whose value at
+# (-x_Q, i*y_Q) is (A*x_Q + B) + i*C*y_Q, divided by C
+Line = Tuple[int, int]
 
 F2_ONE: Fp2 = (1, 0)
 F2_ZERO: Fp2 = (0, 0)
@@ -147,6 +150,30 @@ def _affine(fp: int, x: int, y: int, z: int) -> Point:
     return (x * zinv2 % fp, y * zinv2 * zinv % fp)
 
 
+def _naf(k: int) -> List[int]:
+    """The NAF (signed binary) digits of k, least significant first."""
+    digits = []
+    while k:
+        digit = 2 - (k & 3) if k & 1 else 0
+        digits.append(digit)
+        k = (k - digit) >> 1
+    return digits
+
+
+def _inverses(fp: int, values: List[int]) -> List[int]:
+    """The inverse mod fp of each value, 0 for 0, with one inversion
+    (Montgomery's trick: invert the product of the nonzero values)."""
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % fp if v else acc
+    inv, out = pow(acc, -1, fp), [0] * len(values)
+    for i in reversed(range(len(values))):
+        if values[i]:
+            out[i], inv = inv * prefix[i] % fp, inv * values[i] % fp
+    return out
+
+
 def ec_mul(fp: int, pt: Point, k: int, table: Optional[List[Point]] = None) -> Point:
     """k*pt, with one inversion at the end.
 
@@ -157,16 +184,10 @@ def ec_mul(fp: int, pt: Point, k: int, table: Optional[List[Point]] = None) -> P
     if pt is None or k == 0:
         return None
     if table is not None and k.bit_length() < len(table):
-        x, y, z, i = 0, 1, 0, 0
-        while k:
-            if k & 1:
-                digit = 2 - (k & 3)
-                k -= digit
-                if table[i] is not None:
-                    px, py = table[i]
-                    x, y, z = _add_affine(fp, x, y, z, px, py if digit == 1 else -py % fp)
-            k >>= 1
-            i += 1
+        x, y, z = 0, 1, 0
+        for digit, entry in zip(_naf(k), table):
+            if digit and entry is not None:
+                x, y, z = _add_affine(fp, x, y, z, entry[0], entry[1] * digit % fp)
         return _affine(fp, x, y, z)
     if k < 0:
         pt = ec_neg(fp, pt)
@@ -190,22 +211,37 @@ def doubling_table(fp: int, pt: Point, size: int) -> List[Point]:
     while len(jac) < size:
         x, y, z = _jac_double(fp, x, y, z)[:3]
         jac.append((x, y, z))
-    # Montgomery's trick: invert the product of the nonzero z once
-    prefix, acc = [], 1
-    for _, _, z in jac:
-        prefix.append(acc)
-        if z:
-            acc = acc * z % fp
-    inv = pow(acc, -1, fp)
-    table: List[Point] = [None] * size
-    for i in range(size - 1, -1, -1):
-        x, y, z = jac[i]
-        if z:
-            zinv = inv * prefix[i] % fp
-            inv = inv * z % fp
-            zinv2 = zinv * zinv % fp
-            table[i] = (x * zinv2 % fp, y * zinv2 * zinv % fp)
-    return table
+    zinvs = _inverses(fp, [z for _, _, z in jac])
+    return [(x * zinv * zinv % fp, y * zinv * zinv * zinv % fp) if zinv else None
+            for (x, y, _), zinv in zip(jac, zinvs)]
+
+
+def mul_is_infinity(fp: int, pt: Point, k: int) -> bool:
+    """True iff k*pt is the point at infinity, for odd k > 0.
+
+    y^2 = x^3 + x is the Montgomery curve with A = 0, so this is
+    Montgomery's x-only ladder on x = X/Z, with no inversion. As
+    A^2 - 4 = -4 is a non-residue mod fp, its formulas hold through
+    infinity, Z = 0 (Bernstein, "Curve25519", 2006, appendix B). Only
+    (0, 0), of order 2 and so left finite by odd k, has x = 0.
+    """
+    if pt is None or pt[0] == 0:
+        return pt is None
+    x = pt[0]
+    # (xa : za) = j*P and (xb : zb) = (j + 1)*P for the bits of k read so far
+    xa, za, xb, zb = 1, 0, x, 1
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            xa, za, xb, zb = xb, zb, xa, za
+        # b becomes a + b, whose difference is P, and a becomes 2a
+        s, d = xa + za, xa - za
+        u, v = d * (xb + zb) % fp, s * (xb - zb) % fp
+        xb, zb = (u + v) ** 2 % fp, x * (u - v) ** 2 % fp
+        s, d = s * s % fp, d * d % fp
+        xa, za = 2 * s * d % fp, (s - d) * (s + d) % fp
+        if bit == "1":
+            xa, za, xb, zb = xb, zb, xa, za
+    return za == 0
 
 
 def sqrt_mod(fp: int, a: int) -> Optional[int]:
@@ -261,44 +297,53 @@ def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point,
                  lines: Optional[List[Optional[Line]]] = None) -> Fp2:
     """Reduced modified Tate pairing of two points of order dividing n.
 
-    Miller loop of length n over P = p_pt in Jacobian coordinates. Each
-    tangent and chord is kept as coefficients (A, B, C) whose value at
-    the distorted Q, (-x_Q, i*y_Q), is (A*x_Q + B) + i*C*y_Q: the line
-    times an F_fp factor, e.g. the tangent at T as
-    (M*Z^2*x_Q + M*X - 2*Y^2) + i*(2*Y*Z^3*y_Q); vertical lines are left
-    out. The final exponent (fp^2 - 1)/n = (fp - 1)*cofactor kills all
-    of F_fp*; since Frobenius is conjugation, f^(fp-1) = conj(f)/f and
-    only the cofactor power is left.
+    Miller loop over the NAF digits of n on P = p_pt, in Jacobian
+    coordinates: a doubling step per digit after the top one, then an
+    addition step of +-P after a digit +-1. Each tangent and chord is
+    kept as (A, B, C), whose value at the distorted Q, (-x_Q, i*y_Q), is
+    (A*x_Q + B) + i*C*y_Q: the line times an F_fp factor, e.g. the
+    tangent at T as (M*Z^2*x_Q + M*X - 2*Y^2) + i*(2*Y*Z^3*y_Q). Vertical
+    lines, the 1/v_P of a digit -1 among them, lie in F_fp and are left
+    out, as the final exponent (fp^2 - 1)/n = (fp - 1)*cofactor kills
+    F_fp*; Frobenius is conjugation, so f^(fp-1) = conj(f)/f and only
+    the cofactor power is left.
 
-    `lines` is P's record: an empty list is filled with the loop's
-    coefficients, in order, with None for each squaring of the
-    accumulator; a filled one is replayed at Q instead of walking the
-    bits of n again, so no point arithmetic runs.
+    `lines` is P's record: an empty list is filled with None for each
+    squaring of the accumulator and (A/C, B/C) for each line, normalised
+    by one batched inversion. A filled one is replayed at Q with no point
+    arithmetic: a line over C*y_Q is u + i, u = A/C*x_Q/y_Q + B/C/y_Q.
 
     The result lies in the order-n subgroup of F_fp2^*; the identity is
     (1, 0). Raises DegeneratePairing if a line vanishes at the distorted
-    point, which needs y_Q = 0.
+    point, which needs y_Q = 0 (no point of odd order has it), and at
+    every replay with y_Q = 0.
     """
     if p_pt is None or q_pt is None:
         return F2_ONE
     qx, qy = q_pt
     a, b = 1, 0
     if lines:
+        if qy == 0:
+            raise DegeneratePairing("a replay needs y_Q != 0")
+        yinv = pow(qy, -1, fp)
+        xq = qx * yinv % fp
         for line in lines:
             if line is None:
                 a, b = (a - b) * (a + b) % fp, 2 * a * b % fp
-                continue
-            la, lb, lc = line
-            lr, li = (la * qx + lb) % fp, lc * qy % fp
-            a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
+            else:
+                la, lb = line
+                u = (la * xq + lb * yinv) % fp
+                a, b = (a * u - b) % fp, (a + b * u) % fp
     else:
         record = lines is not None
         px, py = p_pt
         x, y, z = px, py, 1
-        # a doubling step per bit of n after the first, and an addition
-        # step after each doubling at a 1 bit
-        for step in bin(n)[3:].replace("1", "DA").replace("0", "D"):
-            if step == "D":
+        # None for a doubling step, the y of +-P for an addition step
+        steps: List[Optional[int]] = []
+        for digit in reversed(_naf(n)[:-1]):
+            steps += [None, py * digit % fp] if digit else [None]
+        for sy in steps:
+            if sy is None:
                 a, b = (a - b) * (a + b) % fp, 2 * a * b % fp
                 if record:
                     lines.append(None)
@@ -306,16 +351,16 @@ def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point,
                     continue
                 x, y, z, la, lb, lc = _tangent(fp, x, y, z)
             elif z == 0:
-                x, y, z = px, py, 1
+                x, y, z = px, sy, 1
                 continue
             else:
-                # the chord times z3 is r*(x_Q + x_P) - y_P*z3 + i*y_Q*z3;
-                # at T = -P it is a vertical line, dropped, and T = P needs
-                # the tangent
-                x3, y3, z3, r = _jac_add(fp, x, y, z, px, py)
+                # the chord through T and S = (x_P, sy) times z3 is
+                # r*(x_Q + x_P) - sy*z3 + i*y_Q*z3; at T = -S it is a
+                # vertical line, dropped, and T = S needs the tangent
+                x3, y3, z3, r = _jac_add(fp, x, y, z, px, sy)
                 if z3:
                     x, y, z = x3, y3, z3
-                    la, lb, lc = r, r * px - py * z3, z3
+                    la, lb, lc = r, r * px - sy * z3, z3
                 elif r == 0:
                     x, y, z, la, lb, lc = _tangent(fp, x, y, z)
                 else:
@@ -324,7 +369,11 @@ def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point,
             lr, li = (la * qx + lb) % fp, lc * qy % fp
             a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
             if record:
-                lines.append((la % fp, lb % fp, lc % fp))
+                lines.append((la, lb, lc % fp))
+        if record:
+            cinv = _inverses(fp, [line[2] if line else 0 for line in lines])
+            lines[:] = [line and (line[0] * c % fp, line[1] * c % fp)
+                        for line, c in zip(lines, cinv)]
     if a == 0 and b == 0:
         raise DegeneratePairing("line evaluation hit the distorted point")
     f = f2_mul(fp, (a, -b % fp), f2_inv(fp, (a, b)))

@@ -30,7 +30,8 @@ CommitmentKey marks with `fix`) get a doubling table at their second
 power and recorded Miller lines at their second pairing as the first
 argument, so that commit, wi_prove and forge raise them by additions
 only and verify's pair(h, pi) replays h's lines. Exponents are reduced
-to (-n/2, n/2] first, so g^-1 costs no doublings.
+to (-n/2, n/2] first, so g^-1 costs no doublings. Order checks of
+points (generators and parsed elements) use curve.mul_is_infinity.
 """
 
 import random
@@ -254,14 +255,13 @@ class CurveContext(GroupContext):
             raise ValueError("generator must not be the point at infinity")
         if not curve.is_on_curve(field_prime, g_point):
             raise OffCurvePoint(f"generator {g_point} is not on the curve")
-        if curve.ec_mul(field_prime, g_point, n) is not None:
-            raise WrongOrderElement(
-                f"generator order does not divide n={n}")
+        if not curve.mul_is_infinity(field_prime, g_point, n):
+            raise WrongOrderElement(f"generator order does not divide n={n}")
         self.field_prime = field_prime
         self.cofactor = cofactor
         if p is not None and q is not None:
             for prime in (p, q):
-                if curve.ec_mul(field_prime, g_point, n // prime) is None:
+                if curve.mul_is_infinity(field_prime, g_point, n // prime):
                     raise WrongOrderElement(
                         f"generator has order dividing n/{prime}, not exactly n")
         self.g = GElement(self, g_point)
@@ -345,7 +345,7 @@ class CurveContext(GroupContext):
             return None
         if not curve.is_on_curve(fp, pt):
             raise OffCurvePoint(f"point {text!r} is not on the curve")
-        if curve.ec_mul(fp, pt, self.n) is not None:
+        if not curve.mul_is_infinity(fp, pt, self.n):
             raise WrongOrderElement(
                 f"point {text!r} is not in the order-{self.n} subgroup")
         return pt
@@ -419,22 +419,25 @@ def setup_curve(p: int, q: int, rng: random.Random,
 
     Searches the smallest even cofactor c with fp = c*n - 1 prime and
     fp = 3 (mod 4), then samples a generator by clearing the cofactor
-    off random curve points until the order is exactly n.
+    off random curve points until the context accepts its order as
+    exactly n. pair(g, g) cannot raise DegeneratePairing: no line of the
+    Miller loop vanishes at a distorted point of odd order.
     """
     _check_prime_pair(p, q, rng)
     n = p * q
     if n % 2 == 0:
         raise ValueError("curve backend needs p*q odd")
     cofactor, fp = curve.find_curve_field(n, cofactor_bound, rng=rng)
-    g_point = _sample_generator(fp, cofactor, n, p, q, rng)
-    try:
-        ctx = CurveContext(n, fp, cofactor, g_point, p, q)
-        gt = ctx.gt
-    except DegeneratePairing:
-        # one retry with a fresh generator, then give up
-        g_point = _sample_generator(fp, cofactor, n, p, q, rng)
-        ctx = CurveContext(n, fp, cofactor, g_point, p, q)
-        gt = ctx.gt
+    while True:
+        g_point = curve.ec_mul(fp, curve.random_point(fp, rng), cofactor)
+        if g_point is None:
+            continue
+        try:
+            ctx = CurveContext(n, fp, cofactor, g_point, p, q)
+            break
+        except WrongOrderElement:
+            pass
+    gt = ctx.gt
     if (gt ** (n // p)).is_identity() or (gt ** (n // q)).is_identity():
         raise DegeneratePairing("pair(g, g) does not have order exactly n")
     return ctx
@@ -449,20 +452,6 @@ def _check_prime_pair(p: int, q: int, rng: random.Random) -> None:
         raise ValueError(f"q={q} is not prime")
     if p >= q:
         raise ValueError(f"need p < q, got p={p}, q={q}")
-
-
-def _sample_generator(fp: int, cofactor: int, n: int, p: int, q: int,
-                      rng: random.Random) -> curve.Point:
-    while True:
-        raw = curve.random_point(fp, rng)
-        g_point = curve.ec_mul(fp, raw, cofactor)
-        if g_point is None:
-            continue
-        if curve.ec_mul(fp, g_point, n // p) is None:
-            continue
-        if curve.ec_mul(fp, g_point, n // q) is None:
-            continue
-        return g_point
 
 
 # ---------------------------------------------------------------------------

@@ -99,3 +99,11 @@ class TestGenPrime:
         for _ in range(7):
             expected.randrange(2, 2202)
         assert rng.getstate() == expected.getstate()
+
+    def test_strong_pseudoprime_to_the_first_12_primes_is_composite(self):
+        """psi_12 = 399165290221 * 798330580441 passes the witnesses 2..37;
+        41 rejects it, with and without random witnesses."""
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not is_probable_prime(psi12)
+        assert not is_probable_prime(psi12, rng=random.Random(1))

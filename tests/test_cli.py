@@ -416,6 +416,23 @@ class TestHonestPipeline:
         assert (workdir / "c.txt").read_text().splitlines()[-1] == \
                c2.read_text().splitlines()[-1]
 
+    def test_trapdoor_open_out_of_range_is_exit_2(self, capsys, workdir):
+        """A trapdoor key file carries no factorization, so the bound a
+        re-opened message is checked against is n = 35, not p = 5."""
+        ctx, _ = _make_params(capsys, workdir)
+        ck, tk = workdir / "ck.txt", workdir / "tk.txt"
+        run(capsys, "keygen", "--mode", "hiding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(tk), "--seed", "2")
+        c, opening = workdir / "c.txt", workdir / "op.txt"
+        run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "3",
+            "--out", str(c), "--out-opening", str(opening))
+        new_opening = workdir / "op2.txt"
+        code, out, err = run(capsys, "open", "--secret", str(tk),
+                             "--commitment", str(c), "--opening", str(opening),
+                             "--m-new", "35", "--out", str(new_opening))
+        assert (code, out) == (2, "") and not new_opening.exists()
+        assert err == "error: message 35 out of range [0, 35)\n"
+
     @pytest.mark.parametrize("backend", [TRANSPARENT, CURVE])
     def test_trapdoor_key_with_wrong_x_is_exit_2(self, capsys, workdir, backend):
         ctx, _ = _make_params(capsys, workdir, backend=backend)
@@ -648,6 +665,16 @@ class TestErrors:
                            "--out-ck", str(workdir / "ck.txt"),
                            "--out-secret", str(workdir / "xk.txt"))
         assert code == 2 and "error:" in err
+
+    def test_strong_pseudoprime_context_is_exit_2(self, capsys, workdir):
+        ctx = workdir / "ctx.txt"
+        ctx.write_text("backend=transparent\np=318665857834031151167461\n"
+                       "q=318665857834031151167483\n")
+        code, out, err = run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+                             "--out-ck", str(workdir / "ck.txt"),
+                             "--out-secret", str(workdir / "xk.txt"), "--seed", "1")
+        assert (code, out) == (2, "") and not (workdir / "ck.txt").exists()
+        assert err == f"error: {ctx}: p=318665857834031151167461 is not prime\n"
 
     def test_curve_cofactor_failure_message(self, capsys, workdir, monkeypatch):
         import paircommit.cli as cli_mod

@@ -379,6 +379,11 @@ class TestTrapdoorOpening:
         assert commit(ck, 0, to_zero.r) == c
         assert commit(ck, 1, to_one.r) == c
 
+    def test_message_out_of_range_rejected(self, hiding35):
+        ck, tk = hiding35
+        with pytest.raises(ValueError, match=r"message 5 out of range \[0, 5\)"):
+            trapdoor_open(tk, commit(ck, 1, 3), Opening(1, 3), 5)
+
     def test_wrong_opening_rejected(self, hiding35):
         ck, tk = hiding35
         c = commit(ck, 0, 4)

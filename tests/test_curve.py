@@ -39,6 +39,7 @@ from paircommit.curve import (
     f2_inv,
     f2_mul,
     f2_pow,
+    mul_is_infinity,
     random_point,
     tate_pairing,
 )
@@ -131,32 +132,43 @@ def reference_ec_mul(fp: int, pt: Point, k: int) -> Point:
 # inputs
 
 BITS = (3, 4, 8, 16, 32, 64)
+# small n whose Miller loops meet the special cases (see _miller_events)
+SMALL = {"n15": (3, 5), "n51": (3, 17)}
+
+
+def _naf(n: int) -> list:
+    """The NAF digits of n >= 0, most significant first: digit i is bit
+    i + 1 of 3n minus bit i + 1 of n."""
+    return [(3 * n >> i + 1 & 1) - (n >> i + 1 & 1)
+            for i in range((3 * n).bit_length() - 2, -1, -1)]
 
 
 def _miller_events(n: int, order: int) -> set:
-    """What the Miller loop of length n meets on a point of this order:
-    T at infinity before the last step, and T == P at an addition."""
+    """What the Miller loop over the NAF digits of n meets on a point of
+    this order before its last step: T at infinity, and at an addition of
+    S = +-P, T == S (which takes the tangent) or T == -S (a vertical line)."""
     events, k = set(), 1
-    bits = bin(n)[3:]
-    for i, bit in enumerate(bits):
+    digits = _naf(n)[1:]
+    for i, digit in enumerate(digits):
         k = 2 * k % order
-        if bit == "1":
-            if k == 1:
-                events.add("T == P")
-            k = (k + 1) % order
-        if k == 0 and i < len(bits) - 1:
+        if digit:
+            if k == digit % order:
+                events.add("T == S")
+            elif k == -digit % order and i < len(digits) - 1:
+                events.add("T == -S")
+            k = (k + digit) % order
+        if k == 0 and i < len(digits) - 1:
             events.add("infinity")
     return events
 
 
-@pytest.fixture(scope="module", params=BITS + ("n15",),
+@pytest.fixture(scope="module", params=BITS + tuple(SMALL),
                 ids=lambda b: f"{b}-bit" if isinstance(b, int) else b)
 def case(request):
     """(context, points, scalars, rng) for one prime size, seeded by the size."""
-    if request.param == "n15":
-        # n = 15 = 0b1111: on a point of order 3 the loop passes through infinity
-        p, q = 3, 5
-        rng = random.Random(15)
+    if request.param in SMALL:
+        p, q = SMALL[request.param]
+        rng = random.Random(p * q)
     else:
         bits = request.param
         rng = random.Random(1000 + bits)
@@ -198,12 +210,14 @@ def test_tate_pairing_matches_reference(case):
 
 
 def test_small_orders_reach_the_special_cases():
-    """At n = 15 and at the 3-bit n = 35, the points of order p and q above
-    send the Miller loop through infinity and through T == P."""
+    """At n = 15, 51 and the 3-bit n = 35, the points of order p and q
+    above send the signed Miller loop through infinity, T == S and T == -S
+    (at n = 51 on order 3, and at n = 35 on order 7)."""
+    assert _naf(35) == [1, 0, 0, 1, 0, -1] and _naf(51) == [1, 0, -1, 0, 1, 0, -1]
     events = set()
-    for n, p, q in [(15, 3, 5), (35, 5, 7)]:
-        events |= _miller_events(n, p) | _miller_events(n, q)
-    assert events == {"infinity", "T == P"}
+    for p, q in list(SMALL.values()) + [(5, 7)]:
+        events |= _miller_events(p * q, p) | _miller_events(p * q, q)
+    assert events == {"infinity", "T == S", "T == -S"}
 
 
 def test_line_vanishing_at_distorted_point_raises(c35):
@@ -226,6 +240,22 @@ def test_line_vanishing_at_distorted_point_raises(c35):
         with pytest.raises(DegeneratePairing):
             pair(ctx.g, ctx.element(q_pt))
     assert ctx._fixed[ctx.g.value].lines is None
+
+
+def test_ladder_order_check_matches_reference(case):
+    """mul_is_infinity(P, k) is reference_ec_mul(P, k) is None for odd k,
+    among them n, n/p and n/q, on the subgroup's points, on whole-curve
+    points (of orders 2 and 4 among them) and on (0, 0)."""
+    ctx, points, _, _ = case
+    fp, n = ctx.field_prime, ctx.n
+    rng = random.Random(fp)
+    order4 = None
+    while order4 is None or ec_add(fp, order4, order4) != (0, 0):
+        order4 = ec_mul(fp, random_point(fp, rng), (fp + 1) // 4)
+    whole = [random_point(fp, rng) for _ in range(8)]
+    for pt in points + whole + [(0, 0), order4, ec_neg(fp, order4)]:
+        for k in (n, n // ctx.p, n // ctx.q, 1, fp):
+            assert mul_is_infinity(fp, pt, k) == (reference_ec_mul(fp, pt, k) is None), (pt, k)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +349,39 @@ def test_pairing_makes_one_inversion_and_no_affine_steps(monkeypatch, c35):
     mul = _count(monkeypatch, curve, "ec_mul")
     tate_pairing(c35.field_prime, c35.n, c35.g.value, c35.g.value)
     assert (len(inv), len(add), len(mul)) == (1, 0, 0)
+
+
+def test_pairing_adds_once_per_nonzero_naf_digit(monkeypatch, case):
+    """On a point of order n the Miller loop doubles once per NAF digit of
+    n after the top one and adds once per nonzero digit after it."""
+    ctx, points, _, _ = case
+    digits = _naf(ctx.n)
+    adds, doubles = (_count(monkeypatch, curve, name) for name in ("_jac_add", "_jac_double"))
+    tate_pairing(ctx.field_prime, ctx.n, ctx.g.value, points[5])
+    assert (len(adds), len(doubles)) == (len(digits) - digits.count(0) - 1, len(digits) - 1)
+
+
+def test_recorded_lines_have_two_coefficients(case):
+    """A record holds None per doubling and (A/C, B/C) per line: one per
+    doubling and one per addition but the last, whose line is vertical."""
+    ctx, points, _, _ = case
+    fp, digits = ctx.field_prime, _naf(ctx.n)
+    lines = []
+    tate_pairing(fp, ctx.n, ctx.g.value, points[5], lines)
+    kept = [line for line in lines if line is not None]
+    assert len(lines) - len(kept) == len(digits) - 1
+    assert len(kept) == (len(digits) - 1) + (len(digits) - digits.count(0) - 1) - 1
+    assert all(len(line) == 2 and all(0 <= c < fp for c in line) for line in kept)
+
+
+def test_order_checks_walk_no_scalar_multiple(monkeypatch, c35):
+    """Building a context checks g's order three times, and parsing a point
+    checks it once, each by the x-only ladder: no ec_mul, no doubling."""
+    walks = [_count(monkeypatch, curve, name) for name in ("ec_mul", "_jac_double")]
+    ladders = _count(monkeypatch, curve, "mul_is_infinity")
+    ctx = CurveContext(c35.n, c35.field_prime, c35.cofactor, c35.g.value, c35.p, c35.q)
+    assert groups.element_from_text(c35.g.inverse().to_text(), ctx) == ctx.g.inverse()
+    assert walks == [[], []] and len(ladders) == 4
 
 
 def test_ec_mul_makes_no_affine_additions(monkeypatch, c35):

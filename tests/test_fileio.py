@@ -108,6 +108,14 @@ class TestContextFiles:
         with pytest.raises(MalformedText):
             fileio.load_context(path)
 
+    def test_strong_pseudoprime_p_is_refused(self, tmp_path):
+        # psi_12, a strong pseudoprime to the bases 2..37, and the next prime
+        path = tmp_path / "ctx.txt"
+        path.write_text("backend=transparent\np=318665857834031151167461\n"
+                        "q=318665857834031151167483\n")
+        with pytest.raises(DeserializeError, match="is not prime"):
+            fileio.load_context(path)
+
 
 @pytest.mark.parametrize("backend", ["transparent", "curve"])
 class TestKeyFiles:
