@@ -75,7 +75,6 @@ from .groups import (
     TRANSPARENT,
     TransparentContext,
     element_from_text,
-    gt_element_from_text,
     is_in_subgroup_q,
     pair,
     point_from_text,

@@ -39,15 +39,11 @@ from .forgery import accepting_census, audit, claim_report, forge
 from .groups import CURVE, TRANSPARENT, setup_curve, setup_transparent
 
 
-def _rng_from(seed: Optional[int]) -> random.Random:
-    return random.Random(seed) if seed is not None else random.Random()
-
-
 def cmd_params(args) -> int:
     for name, bits in (("--bits-p", args.bits_p), ("--bits-q", args.bits_q)):
         if not 2 <= bits <= 64:
             raise ValueError(f"{name} must lie in [2, 64], got {bits}")
-    rng = _rng_from(args.seed)
+    rng = random.Random(args.seed)
     p = gen_prime(args.bits_p, rng)
     q = gen_prime(args.bits_q, rng)
     while q == p:
@@ -70,7 +66,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    rng = _rng_from(args.seed)
+    rng = random.Random(args.seed)
     ctx = fileio.load_context(args.context)
     if args.mode == BINDING:
         ck, xk = binding_keygen(ctx, rng)
@@ -86,7 +82,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_commit(args) -> int:
     ck = fileio.load_commitment_key(args.ck)
-    r = args.r if args.r is not None else _rng_from(args.seed).randrange(ck.context.n)
+    r = args.r if args.r is not None else random.Random(args.seed).randrange(ck.context.n)
     com = commit(ck, args.m, r)
     fileio.save_commitment(args.out, com, ck)
     if args.out_opening:
@@ -136,11 +132,12 @@ def _owned_extraction_key(args) -> ExtractionKey:
     """The --secret extraction key, checked to belong to the --ck public key.
 
     A --ck file that lists exactly the secret's public key loads as that
-    key, already checked, so no second context is built for it.
+    key, already checked, so no second context is built for it. Any other
+    file that loads lists other fields, since a loaded file re-saves to its
+    own bytes, so it is another key.
     """
     xk = fileio.load_extraction_key(args.secret)
-    ck = fileio.load_commitment_key(args.ck, same_as=xk.ck)
-    if key_fingerprint(ck) != key_fingerprint(xk.ck):
+    if fileio.load_commitment_key(args.ck, same_as=xk.ck) is not xk.ck:
         raise PairCommitError("secret file does not belong to the public key")
     return xk
 
@@ -148,7 +145,7 @@ def _owned_extraction_key(args) -> ExtractionKey:
 def cmd_forge(args) -> int:
     xk = _owned_extraction_key(args)
     ctx = xk.ck.context
-    rec = forge(xk.ck, ctx.p, ctx.q, beta1=args.beta1, rng=_rng_from(args.seed))
+    rec = forge(xk.ck, ctx.p, ctx.q, beta1=args.beta1, rng=random.Random(args.seed))
     fileio.save_forgery(args.out, rec, xk.ck)
     report = claim_report(rec, xk.ck, ctx.p, ctx.q)
     for line in report.lines():
@@ -160,8 +157,9 @@ def cmd_audit(args) -> int:
     xk = _owned_extraction_key(args)
     com = fileio.load_commitment(args.commitment, xk.ck)
     verdict = audit(xk.q, xk.ck, com)
-    for key, value in fileio.verdict_fields(verdict):
-        print(f"{key}={value}")
+    print(f"verdict={verdict.label}")
+    for line in verdict.lines():
+        print(line)
     print(f"c_pow_q={verdict.c_pow_q.to_text()}")
     print(f"c_over_g_pow_q={verdict.c_over_g_pow_q.to_text()}")
     return 0
@@ -182,7 +180,7 @@ def cmd_census(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest  # imported by this command alone
-    results = run_selftest(seed=args.seed if args.seed is not None else 1)
+    results = run_selftest(seed=args.seed)
     for name, ok, detail in results:
         print(f"PASS {name}" if ok else f"FAIL {name}: {detail}")
     passed = sum(ok for _, ok, _ in results)
@@ -190,105 +188,46 @@ def cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _params_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--bits-p", type=int, required=True)
-    sp.add_argument("--bits-q", type=int, required=True)
-    sp.add_argument("--backend", choices=(TRANSPARENT, CURVE), required=True)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", required=True, help="context file to write")
-    sp.set_defaults(func=cmd_params)
+_REQUIRED = {"required": True}
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_KEY_FILE = {"required": True, "help": "extraction key file"}
 
-
-def _keygen_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--mode", choices=(BINDING, HIDING), required=True)
-    sp.add_argument("--context", required=True)
-    sp.add_argument("--out-ck", required=True)
-    sp.add_argument("--out-secret", required=True)
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=cmd_keygen)
-
-
-def _commit_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ck", required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--r", type=int, help="randomizer; sampled when omitted")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--out-opening")
-    sp.set_defaults(func=cmd_commit)
-
-
-def _prove_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ck", required=True)
-    sp.add_argument("--opening", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_prove)
-
-
-def _verify_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ck", required=True)
-    sp.add_argument("--commitment", required=True)
-    sp.add_argument("--proof", required=True)
-    sp.set_defaults(func=cmd_verify)
-
-
-def _extract_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--secret", required=True, help="extraction key file")
-    sp.add_argument("--commitment", required=True)
-    sp.add_argument("--bound", type=int, default=DEFAULT_EXTRACT_BOUND)
-    sp.set_defaults(func=cmd_extract)
-
-
-def _open_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--secret", required=True, help="trapdoor key file")
-    sp.add_argument("--commitment", required=True)
-    sp.add_argument("--opening", required=True)
-    sp.add_argument("--m-new", type=int, required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_open)
-
-
-def _forge_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ck", required=True)
-    sp.add_argument("--secret", required=True, help="extraction key file")
-    sp.add_argument("--beta1", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_forge)
-
-
-def _audit_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--secret", required=True, help="extraction key file")
-    sp.add_argument("--ck", required=True)
-    sp.add_argument("--commitment", required=True)
-    sp.set_defaults(func=cmd_audit)
-
-
-def _census_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ck", required=True)
-    sp.add_argument("--secret", required=True, help="extraction key file")
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_census)
-
-
-def _selftest_arguments(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int)
-    sp.set_defaults(func=cmd_selftest)
-
-
-# name -> (help line, what adds the command's arguments and its func)
+# name -> (help line, command function, {flag: add_argument keywords})
 _COMMANDS = {
-    "params": ("generate group parameters", _params_arguments),
-    "keygen": ("generate a commitment key pair", _keygen_arguments),
-    "commit": ("commit to a message", _commit_arguments),
-    "prove": ("prove a commitment opens to 0 or 1", _prove_arguments),
-    "verify": ("check a proof (exit 0 accept, 1 reject)", _verify_arguments),
-    "extract": ("recover the message with the extraction key", _extract_arguments),
-    "open": ("re-open a hiding commitment via the trapdoor", _open_arguments),
-    "forge": ("build an accepting proof from the factorization", _forge_arguments),
-    "audit": ("classify a commitment with the subgroup probes", _audit_arguments),
-    "census": ("count the accepting pi of every c, with its audit verdict", _census_arguments),
-    "selftest": ("check every claim of the lab at small primes", _selftest_arguments),
+    "params": ("generate group parameters", cmd_params, {
+        "--bits-p": _REQUIRED_INT, "--bits-q": _REQUIRED_INT,
+        "--backend": {"choices": (TRANSPARENT, CURVE), "required": True},
+        "--seed": _INT,
+        "--out": {"required": True, "help": "context file to write"}}),
+    "keygen": ("generate a commitment key pair", cmd_keygen, {
+        "--mode": {"choices": (BINDING, HIDING), "required": True},
+        "--context": _REQUIRED, "--out-ck": _REQUIRED, "--out-secret": _REQUIRED,
+        "--seed": _INT}),
+    "commit": ("commit to a message", cmd_commit, {
+        "--ck": _REQUIRED, "--m": _REQUIRED_INT,
+        "--r": {"type": int, "help": "randomizer; sampled when omitted"},
+        "--seed": _INT, "--out": _REQUIRED, "--out-opening": {}}),
+    "prove": ("prove a commitment opens to 0 or 1", cmd_prove,
+              {"--ck": _REQUIRED, "--opening": _REQUIRED, "--out": _REQUIRED}),
+    "verify": ("check a proof (exit 0 accept, 1 reject)", cmd_verify,
+               {"--ck": _REQUIRED, "--commitment": _REQUIRED, "--proof": _REQUIRED}),
+    "extract": ("recover the message with the extraction key", cmd_extract, {
+        "--secret": _KEY_FILE, "--commitment": _REQUIRED,
+        "--bound": {"type": int, "default": DEFAULT_EXTRACT_BOUND}}),
+    "open": ("re-open a hiding commitment via the trapdoor", cmd_open, {
+        "--secret": {"required": True, "help": "trapdoor key file"},
+        "--commitment": _REQUIRED, "--opening": _REQUIRED,
+        "--m-new": _REQUIRED_INT, "--out": _REQUIRED}),
+    "forge": ("build an accepting proof from the factorization", cmd_forge, {
+        "--ck": _REQUIRED, "--secret": _KEY_FILE, "--beta1": _INT,
+        "--seed": _INT, "--out": _REQUIRED}),
+    "audit": ("classify a commitment with the subgroup probes", cmd_audit,
+              {"--secret": _KEY_FILE, "--ck": _REQUIRED, "--commitment": _REQUIRED}),
+    "census": ("count the accepting pi of every c, with its audit verdict", cmd_census,
+               {"--ck": _REQUIRED, "--secret": _KEY_FILE, "--out": {}}),
+    "selftest": ("check every claim of the lab at small primes", cmd_selftest,
+                 {"--seed": {"type": int, "default": 1}}),
 }
 
 
@@ -310,9 +249,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True,
         metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, func, arguments) in _COMMANDS.items():
         if name == command or not one:
-            add_arguments(sub.add_parser(name, help=help_text))
+            sp = sub.add_parser(name, help=help_text)
+            for flag, keywords in arguments.items():
+                sp.add_argument(flag, **keywords)
+            sp.set_defaults(func=func)
     return parser
 
 
@@ -326,10 +268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (PairCommitError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PairCommitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

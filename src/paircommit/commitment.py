@@ -200,7 +200,8 @@ def trapdoor_open(tk: TrapdoorKey, c: Commitment, current: Opening, m_new: int) 
     """Re-open a hiding-mode commitment to m_new.
 
     r' = r - (m_new - m)/x mod n, so that g^m_new h^r' = g^m h^r.
-    The supplied opening must actually open c.
+    The supplied opening must actually open c, and the new one is
+    committed again before it is returned.
     """
     ck = tk.ck
     if ck.mode != HIDING:
@@ -211,6 +212,8 @@ def trapdoor_open(tk: TrapdoorKey, c: Commitment, current: Opening, m_new: int) 
     n = ck.context.n
     x_inv = mod_inverse(tk.x, n)
     r_new = (current.r - (m_new - current.m) * x_inv) % n
+    if commit(ck, m_new, r_new) != c:
+        raise ValueError("the new opening does not open the commitment")
     return Opening(m_new, r_new)
 
 

@@ -26,7 +26,7 @@ from .commitment import (
     key_fingerprint,
 )
 from .errors import DeserializeError, InvalidKey, MalformedText, SecretKeyMismatch
-from .forgery import CensusResult, ForgeryRecord, Verdict
+from .forgery import CensusResult, ForgeryRecord
 from .groups import (
     CURVE,
     CurveContext,
@@ -42,16 +42,12 @@ from .groups import (
 PathLike = Union[str, Path]
 
 
-def format_kv(fields: List[Tuple[str, str]]) -> str:
-    return "".join(f"{k}={v}\n" for k, v in fields)
-
-
 def write_kv(path: PathLike, fields: List[Tuple[str, str]]) -> None:
-    Path(path).write_bytes(format_kv(fields).encode("ascii"))
+    Path(path).write_bytes("".join(f"{k}={v}\n" for k, v in fields).encode("ascii"))
 
 
 def parse_kv(text: str, where: str = "input") -> Dict[str, str]:
-    """Fields of text as format_kv writes it: key=value lines, each ended
+    """Fields of text as write_kv writes it: key=value lines, each ended
     by a newline; no blank line, and nothing stripped."""
     *lines, tail = text.split("\n")
     if tail:
@@ -373,14 +369,6 @@ def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
     )
     _check_layout(fields, _forgery_fields(rec, ck), where)
     return rec
-
-
-def verdict_fields(verdict: Verdict) -> List[Tuple[str, str]]:
-    return [
-        ("verdict", verdict.label),
-        ("c_in_gq", "true" if verdict.c_in_gq else "false"),
-        ("c_over_g_in_gq", "true" if verdict.c_over_g_in_gq else "false"),
-    ]
 
 
 def census_lines(result: CensusResult) -> List[str]:

@@ -68,6 +68,10 @@ class Verdict:
     def c_over_g_in_gq(self) -> bool:
         return self.c_over_g_pow_q.is_identity()
 
+    def lines(self) -> List[str]:
+        return [f"c_in_gq={_b(self.c_in_gq)}",
+                f"c_over_g_in_gq={_b(self.c_over_g_in_gq)}"]
+
 
 @dataclass(frozen=True)
 class ForgeryRecord:
@@ -98,9 +102,7 @@ class ClaimReport:
             f"alpha1_is_bit={_b(self.alpha1_is_bit)}",
             f"g_alpha1_in_gq={_b(self.g_alpha1_in_gq)}",
             f"audit_verdict={self.verdict.label}",
-            f"c_in_gq={_b(self.verdict.c_in_gq)}",
-            f"c_over_g_in_gq={_b(self.verdict.c_over_g_in_gq)}",
-        ]
+        ] + self.verdict.lines()
 
 
 @dataclass(frozen=True)
@@ -129,21 +131,19 @@ def _b(flag: bool) -> str:
 
 
 def forge(ck: CommitmentKey, p: int, q: int, beta1: Optional[int] = None,
-          rng: Optional[random.Random] = None,
-          allow_hiding: bool = False) -> ForgeryRecord:
+          rng: Optional[random.Random] = None) -> ForgeryRecord:
     """Build an accepting (c, pi) pair from the factorization of n.
 
     beta1 may be pinned for reproducible records (0 gives the degenerate
     c = g^a1 record) or left to be sampled from [1, n).
 
-    The attack targets the binding (soundness) mode; pass allow_hiding
-    to run it under a hiding key for comparison.
+    The attack targets the binding (soundness) mode; a hiding key is
+    refused.
     """
     ctx = ck.context
     n = ctx.n
-    if ck.mode != BINDING and not allow_hiding:
-        raise ValueError("the forgery targets binding-mode keys "
-                         "(allow_hiding overrides)")
+    if ck.mode != BINDING:
+        raise ValueError("the forgery targets binding-mode keys")
     if p * q != n:
         raise ValueError(f"{p}*{q} is not the group order {n}")
     if p >= q:

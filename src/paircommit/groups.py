@@ -125,7 +125,8 @@ class GroupContext:
     A backend sets g and gt, and defines __eq__ (true for the same group;
     __hash__ is set again beside it), the class constants _el_identity
     and _gt_identity, and the payload operations _el_mul, _el_inv,
-    _el_pow, _gt_mul, _gt_inv, _gt_pow, _pair and _{el,gt}_{to,from}_text.
+    _el_pow, _gt_mul, _gt_inv, _gt_pow, _pair, _el_to_text, _el_from_text
+    and _gt_to_text.
     """
 
     backend: str = ""
@@ -202,8 +203,8 @@ class TransparentContext(GroupContext):
     def _el_to_text(self, a) -> str:
         return f"G:{a}"
 
-    def _el_from_text(self, text: str, prefix: str = "G:"):
-        e = _parse_int(_strip_prefix(text, prefix), text)
+    def _el_from_text(self, text: str):
+        e = _parse_int(_strip_prefix(text, "G:"), text)
         if not 0 <= e < self.n:
             raise MalformedText(
                 f"exponent {e} out of range [0, {self.n}) in {text!r}")
@@ -211,9 +212,6 @@ class TransparentContext(GroupContext):
 
     def _gt_to_text(self, a) -> str:
         return f"GT:{a}"
-
-    def _gt_from_text(self, text: str):
-        return self._el_from_text(text, "GT:")
 
 
 class _FixedBase:
@@ -353,16 +351,6 @@ class CurveContext(GroupContext):
     def _gt_to_text(self, a) -> str:
         return f"GT:{a[0]},{a[1]}"
 
-    def _gt_from_text(self, text: str):
-        fp = self.field_prime
-        val = _coordinates(_strip_prefix(text, "GT:"), text, fp, "GT:<a>,<b>")
-        if val == curve.F2_ZERO:
-            raise MalformedText(f"zero is not a group element: {text!r}")
-        if curve.f2_pow(fp, val, self.n) != curve.F2_ONE:
-            raise WrongOrderElement(
-                f"target-group element {text!r} is not of order dividing {self.n}")
-        return val
-
 
 def point_from_text(text: str, field_prime: int) -> Optional[curve.Point]:
     """Parse G:<x>,<y> or G:inf with both coordinates in [0, field_prime).
@@ -373,14 +361,9 @@ def point_from_text(text: str, field_prime: int) -> Optional[curve.Point]:
     body = _strip_prefix(text, "G:")
     if body == "inf":
         return None
-    return _coordinates(body, text, field_prime, "G:<x>,<y> or G:inf")
-
-
-def _coordinates(body: str, text: str, field_prime: int, form: str):
-    """The pair of integers in [0, field_prime) that body spells as x,y."""
     parts = body.split(",")
     if len(parts) != 2:
-        raise MalformedText(f"expected {form}, got {text!r}")
+        raise MalformedText(f"expected G:<x>,<y> or G:inf, got {text!r}")
     x, y = _parse_int(parts[0], text), _parse_int(parts[1], text)
     if not (0 <= x < field_prime and 0 <= y < field_prime):
         raise MalformedText(f"coordinates out of field range in {text!r}")
@@ -549,6 +532,3 @@ def is_in_subgroup_q(a: GElement, q: int) -> bool:
 def element_from_text(text: str, ctx: GroupContext) -> GElement:
     return GElement(ctx, ctx._el_from_text(text))
 
-
-def gt_element_from_text(text: str, ctx: GroupContext) -> GTElement:
-    return GTElement(ctx, ctx._gt_from_text(text))

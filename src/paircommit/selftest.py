@@ -55,8 +55,6 @@ def text_roundtrip(ctx, rng, trials):
     for _ in range(trials):
         el = ctx.g ** rng.randrange(ctx.n)
         assert groups.element_from_text(el.to_text(), ctx) == el
-        gt = ctx.gt ** rng.randrange(1, ctx.n)
-        assert groups.gt_element_from_text(gt.to_text(), ctx) == gt
 
 
 def gq_membership(ctx, rng, trials):

@@ -718,30 +718,68 @@ class TestParser:
     prints and exits with is what the parser with every command gives."""
 
     VALID = {
-        "params": ["--bits-p", "5", "--bits-q", "6", "--backend", "curve", "--out", "x"],
-        "keygen": ["--mode", "hiding", "--context", "c", "--out-ck", "a", "--out-secret", "b"],
-        "commit": ["--ck", "a", "--m", "1", "--out", "c", "--out-opening", "o"],
+        "params": ["--bits-p", "5", "--bits-q", "6", "--backend", "curve", "--out", "x",
+                   "--seed", "3"],
+        "keygen": ["--mode", "hiding", "--context", "c", "--out-ck", "a", "--out-secret", "b",
+                   "--seed", "4"],
+        "commit": ["--ck", "a", "--m", "1", "--out", "c", "--out-opening", "o", "--r", "2",
+                   "--seed", "5"],
         "prove": ["--ck", "a", "--opening", "o", "--out", "p"],
         "verify": ["--ck", "a", "--commitment", "c", "--proof", "p"],
-        "extract": ["--secret", "s", "--commitment", "c"],
+        "extract": ["--secret", "s", "--commitment", "c", "--bound", "9"],
         "open": ["--secret", "s", "--commitment", "c", "--opening", "o", "--m-new", "1",
                  "--out", "x"],
-        "forge": ["--ck", "a", "--secret", "s", "--beta1", "2", "--out", "f"],
+        "forge": ["--ck", "a", "--secret", "s", "--beta1", "2", "--out", "f", "--seed", "6"],
         "audit": ["--secret", "s", "--ck", "a", "--commitment", "c"],
         "census": ["--ck", "a", "--secret", "s"],
         "selftest": ["--seed", "1"],
     }
+
+    INTEGERS = {"bits_p", "bits_q", "seed", "m", "r", "bound", "m_new", "beta1"}
 
     def test_one_command_parses_as_all(self):
         from paircommit.cli import _COMMANDS, build_parser
         assert sorted(self.VALID) == sorted(_COMMANDS)
         for name, rest in self.VALID.items():
             argv = [name] + rest
-            assert vars(build_parser(name).parse_args(argv)) == vars(build_parser().parse_args(argv))
+            parsed = vars(build_parser(name).parse_args(argv))
+            assert parsed == vars(build_parser().parse_args(argv))
+            # every integer flag is given above, and parses as an int
+            assert {k for k, v in parsed.items() if type(v) is int} == self.INTEGERS & set(parsed)
             other = "verify" if name == "selftest" else "selftest"
             with pytest.raises(SystemExit) as done:  # the only sub-parser is name's
                 build_parser(name).parse_args([other])
             assert done.value.code == 2
+        assert build_parser("selftest").parse_args(["selftest"]).seed == 1
+
+    # sha256 of `paircommit [<command>] --help` at 80 columns. Both sides of
+    # the test above read the one command table, so a help= lost from it
+    # shows only here. argparse's layout varies between Python
+    # versions; these were recorded under 3.11.
+    HELP_SHA256 = {
+        None: "79af24141d04d7e307d5ac3cd0a81ee31c37478c2fe37f29c15e0eb876dfb665",
+        "params": "d0135e5a49ded68bfa2b0a2cec88d3d14930b957c8e84d0c6ab2d0221ec735f3",
+        "keygen": "eb8f8085e4494f1e3d13d64965fd29995b94cb60a66b39ff8642f8568b98101b",
+        "commit": "9d9aa7a285813620869fb64b3e7610d4b7a3c25dce61833975de0976a1120176",
+        "prove": "c0db51b7ab2cf267b5e02a78214fd05cc5f4a3be54f6898653e08ae24ee8e228",
+        "verify": "09586a9f92c08eba7a8dd6928fea90df1e55d33d25823df5987c0117c84e3d40",
+        "extract": "d74deb90a3767a8bf3744ef680ab503d3f8d01d41831a0d698bdd4a5b964beaa",
+        "open": "38078f3a23ea73fd6e31606a0e34f85d0719fdb6172bb919a30a93c04d704f34",
+        "forge": "4a0b75b30704aa2b09eaf64bbc98a62636bb68a189f3c1cfb23469554f3abe4c",
+        "audit": "0ee634cca8a861793d9b9678c737e003bdf88687ee0feda3f94ef3420a0f6706",
+        "census": "c941fe23cfe190f58195619864316548df743c6ad5b6febee81de248e61b7a0f",
+        "selftest": "1dc0cbc34d5d26d8f6cc9a6572413e5b772356c593c7c035e05ae43165c67fda",
+    }
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="help digests are recorded under Python 3.11")
+    @pytest.mark.parametrize("command", HELP_SHA256)
+    def test_help_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command is None else [command, "--help"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[command]
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["-h", "verify"], ["frobnicate"], ["--bogus", "verify"],

@@ -390,6 +390,15 @@ class TestTrapdoorOpening:
         with pytest.raises(ValueError):
             trapdoor_open(tk, c, Opening(0, 5), 1)
 
+    @pytest.mark.parametrize("ctx_name", ["t35", "c35"])
+    def test_wrong_inverse_is_caught_by_the_recommit(self, request, monkeypatch, ctx_name):
+        from paircommit import arith, commitment
+        ck, tk = hiding_key_from_exponent(request.getfixturevalue(ctx_name), 3)
+        c = commit(ck, 0, 4)
+        monkeypatch.setattr(commitment, "mod_inverse", lambda a, n: arith.mod_inverse(a, n) + 1)
+        with pytest.raises(ValueError, match="does not open the commitment"):
+            trapdoor_open(tk, c, Opening(0, 4), 1)
+
     def test_binding_key_rejected(self, binding35):
         from paircommit import TrapdoorKey
         ck, _ = binding35

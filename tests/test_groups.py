@@ -13,7 +13,6 @@ from paircommit import (
     binding_key_from_exponent,
     commit,
     element_from_text,
-    gt_element_from_text,
     is_in_subgroup_q,
     pair,
     setup_curve,
@@ -218,11 +217,6 @@ class TestSerialization:
             assert element_from_text(el.to_text(), c35) == el
         assert element_from_text("G:inf", c35).is_identity()
 
-    def test_gt_roundtrip(self, t35, c35, rng):
-        for ctx in (t35, c35):
-            el = ctx.gt ** rng.randrange(1, 35)
-            assert gt_element_from_text(el.to_text(), ctx) == el
-
     def test_malformed_text(self, t35, c35):
         for ctx, bad in [(t35, "G:x"), (t35, "H:3"), (t35, "G:99"),
                          (c35, "G:1"), (c35, "G:1,2,3"), (c35, "G:5,abc")]:
@@ -245,11 +239,3 @@ class TestSerialization:
         text = f"G:{raw[0]},{raw[1]}"
         with pytest.raises(WrongOrderElement):
             element_from_text(text, c35)
-
-    def test_wrong_order_gt(self, c35):
-        # a random field element is almost never in the order-35 subgroup
-        from paircommit.curve import f2_pow
-        val = (2, 3)
-        assert f2_pow(139, val, 35) != (1, 0)
-        with pytest.raises(WrongOrderElement):
-            gt_element_from_text("GT:2,3", c35)
