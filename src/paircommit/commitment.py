@@ -14,8 +14,7 @@ pi = (g^(2m-1) h^r)^r, accepted iff e(c, c*g^-1) = e(h, pi).
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .arith import ext_gcd, mod_inverse
 from .errors import InvalidKey, KeyMismatch, NotExtractable
@@ -34,61 +33,105 @@ DEFAULT_EXTRACT_BOUND = 2 ** 16
 _EXTRACT_WIDTH = 256  # baby steps per key, ceil(sqrt(DEFAULT_EXTRACT_BOUND)); any bound works
 
 
-@dataclass(frozen=True)
-class CommitmentKey:
-    context: GroupContext
-    h: GElement
-    mode: str
-    # digest of key_fields(self), fixed at construction; read it through
-    # key_fingerprint
-    _digest: str = field(init=False, repr=False, compare=False)
+def _record_eq(self, other) -> bool:
+    # a record equals only a record of its own type, never a plain tuple
+    return type(other) is type(self) and tuple.__eq__(self, other)
 
-    def __post_init__(self):
+
+def _record_ne(self, other) -> bool:
+    return not _record_eq(self, other)
+
+
+class _Frozen:
+    """A value with __slots__ whose fields are set once, in __init__: ==
+    and hash over _fields within one type, and the repr of a dataclass."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CommitmentKey(_Frozen):
+    __slots__ = ("context", "h", "mode", "_digest")
+    _fields = ("context", "h", "mode")
+
+    def __init__(self, context: GroupContext, h: GElement, mode: str):
+        set_field = object.__setattr__
+        set_field(self, "context", context)
+        set_field(self, "h", h)
+        set_field(self, "mode", mode)
+        # digest of key_fields(self), fixed here; read it through key_fingerprint
         text = "|".join(value for _, value in key_fields(self))
-        object.__setattr__(self, "_digest", hashlib.sha256(text.encode()).hexdigest()[:16])
+        set_field(self, "_digest", hashlib.sha256(text.encode()).hexdigest()[:16])
         # every commit, proof and verify raises or pairs h
-        self.h.group.fix(self.h)
+        h.group.fix(h)
 
 
-@dataclass(frozen=True)
-class ExtractionKey:
+class ExtractionKey(_Frozen):
     """ck with the larger prime q of n; for a binding ck, h must be a
     non-identity element of the order-q subgroup, else InvalidKey."""
 
-    ck: CommitmentKey
-    q: int
-    # extract's baby steps to the base g^q, made as extracts need them
-    _steps: Optional[BabySteps] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("ck", "q", "_steps")
+    _fields = ("ck", "q")
 
-    def __post_init__(self):
-        h = self.ck.h
-        if self.ck.mode == BINDING and (h.is_identity() or not (h ** self.q).is_identity()):
+    def __init__(self, ck: CommitmentKey, q: int):
+        h = ck.h
+        if ck.mode == BINDING and (h.is_identity() or not (h ** q).is_identity()):
             raise InvalidKey(f"h={h.to_text()} is not a non-identity element of "
-                             f"the order-q subgroup, q={self.q}")
+                             f"the order-q subgroup, q={q}")
+        set_field = object.__setattr__
+        set_field(self, "ck", ck)
+        set_field(self, "q", q)
+        # extract's baby steps to the base g^q, made as extracts need them
+        set_field(self, "_steps", None)
 
 
-@dataclass(frozen=True)
-class TrapdoorKey:
+class TrapdoorKey(NamedTuple):
     ck: CommitmentKey
     x: int
 
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class Commitment:
+
+class Commitment(NamedTuple):
     c: GElement
     key_fp: str
 
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class WIProof:
+
+class WIProof(NamedTuple):
     pi: GElement
     key_fp: str
 
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class Opening:
+
+class Opening(NamedTuple):
     m: int
     r: int
+
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
 
 def key_fields(ck: CommitmentKey) -> List[Tuple[str, str]]:

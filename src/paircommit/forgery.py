@@ -20,11 +20,16 @@ commitment using the order-q subgroup probes c^q and (c/g)^q, and
 context, by a join over verify's two sides, so the set of provable
 commitments is known exactly. `claim_report` lays the forgery's computed
 properties next to the audit verdict and takes no position.
+
+The rule that turns the two probes into a label has one owner, `_probe`,
+which works on the backend's payloads: `audit` wraps its probes into the
+Verdict's elements, and the census, which walks c, c/g and pi as payloads
+with no element per row, keeps only the label. The results are
+NamedTuple records, each equal only to a record of its own type.
 """
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .arith import ext_gcd, mod_inverse
 from .commitment import (
@@ -32,6 +37,8 @@ from .commitment import (
     Commitment,
     CommitmentKey,
     WIProof,
+    _record_eq,
+    _record_ne,
     check_key,
     key_fingerprint,
     verify,
@@ -41,6 +48,7 @@ from .groups import (
     GElement,
     GroupContext,
     TRANSPARENT,
+    _same_group,
     is_in_subgroup_q,
 )
 
@@ -51,14 +59,15 @@ INVALID = "Invalid"
 CENSUS_MAX_ORDER = 2 ** 12
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Trapdoor-holder's classification of a commitment, with its probes
     c^q and (c/g)^q."""
 
     label: str
     c_pow_q: GElement
     c_over_g_pow_q: GElement
+
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
     @property
     def c_in_gq(self) -> bool:
@@ -73,8 +82,7 @@ class Verdict:
                 f"c_over_g_in_gq={_b(self.c_over_g_in_gq)}"]
 
 
-@dataclass(frozen=True)
-class ForgeryRecord:
+class ForgeryRecord(NamedTuple):
     """Full witness tuple of one forgery run."""
 
     k_a: int
@@ -86,15 +94,18 @@ class ForgeryRecord:
     c: Commitment
     pi: WIProof
 
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class ClaimReport:
+
+class ClaimReport(NamedTuple):
     """Computed properties of a forgery, never asserted ones."""
 
     verification_passes: bool
     alpha1_is_bit: bool
     g_alpha1_in_gq: bool
     verdict: Verdict
+
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
     def lines(self) -> List[str]:
         return [
@@ -105,19 +116,21 @@ class ClaimReport:
         ] + self.verdict.lines()
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     c_exp: int
     accepting_pi_count: int
     verdict_label: str
 
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class CensusResult:
+
+class CensusResult(NamedTuple):
     n: int
     rows: List[CensusRow]
     accepting_pairs: int
     accepting_c_by_verdict: Dict[str, int]
+
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
     def accepting_exponents(self) -> set:
         return {row.c_exp for row in self.rows if row.accepting_pi_count > 0}
@@ -176,23 +189,26 @@ def audit(q: int, ck: CommitmentKey, c: Commitment) -> Verdict:
     means a commitment to 1; neither means no bit opening exists.
     """
     check_key(ck, c)
-    n = ck.context.n
-    if n % q != 0:
-        raise ValueError(f"q={q} does not divide the group order {n}")
-    return _probe(q, c.c, ck.context.g.inverse())
+    ctx = ck.context
+    if ctx.n % q != 0:
+        raise ValueError(f"q={q} does not divide the group order {ctx.n}")
+    _same_group(c.c, ctx.g)  # payload operations check no context
+    label, c_pow_q, shifted_pow_q = _probe(ctx, q, c.c.value, ctx._el_inv(ctx.g.value))
+    return Verdict(label, GElement(ctx, c_pow_q), GElement(ctx, shifted_pow_q))
 
 
-def _probe(q: int, c: GElement, g_inv: GElement) -> Verdict:
-    """audit's verdict on c, once its key and q are checked."""
-    c_pow_q = c ** q
-    shifted_pow_q = (c * g_inv) ** q
-    if c_pow_q.is_identity():
+def _probe(ctx: GroupContext, q: int, c, g_inv) -> Tuple[str, object, object]:
+    """audit's rule on payloads, once the key and q are checked: the label
+    of c, and the payloads of c^q and (c*g^-1)^q."""
+    c_pow_q = ctx._el_pow(c, q)
+    shifted_pow_q = ctx._el_pow(ctx._el_mul(c, g_inv), q)
+    if c_pow_q == ctx._el_identity:
         label = COMMITS_TO_0
-    elif shifted_pow_q.is_identity():
+    elif shifted_pow_q == ctx._el_identity:
         label = COMMITS_TO_1
     else:
         label = INVALID
-    return Verdict(label, c_pow_q, shifted_pow_q)
+    return label, c_pow_q, shifted_pow_q
 
 
 def claim_report(record: ForgeryRecord, ck: CommitmentKey, p: int, q: int) -> ClaimReport:
@@ -234,25 +250,26 @@ def accepting_census(ctx: GroupContext, ck: CommitmentKey) -> CensusResult:
         raise ValueError(f"census prints a row per element; refusing n={n} > {CENSUS_MAX_ORDER}")
     if ck.context != ctx:
         raise KeyMismatch("key does not live on the given context")
-    q, g, g_inv = ctx.q, ctx.g, ctx.g.inverse()
-    # verify's pairing, taken on payloads as `pair` takes it on elements
-    pair_payloads, h = ctx._pair, ck.h.value
+    # verify's two sides and audit's rule, all on payloads
+    q, mul, pair_payloads = ctx.q, ctx._el_mul, ctx._pair
+    g, h = ctx.g.value, ck.h.value
+    g_inv = ctx._el_inv(g)
     rhs_counts: Dict[object, int] = {}
-    pi = ctx.identity
+    pi = ctx._el_identity
     for _ in range(n):
-        rhs = pair_payloads(h, pi.value)
+        rhs = pair_payloads(h, pi)
         rhs_counts[rhs] = rhs_counts.get(rhs, 0) + 1
-        pi = pi * g
+        pi = mul(pi, g)
     rows = []
     accepting_pairs = 0
     by_verdict: Dict[str, int] = {COMMITS_TO_0: 0, COMMITS_TO_1: 0, INVALID: 0}
-    c = ctx.identity
+    c = ctx._el_identity
     for c_exp in range(n):
-        count = rhs_counts.get(pair_payloads(c.value, (c * g_inv).value), 0)
-        label = _probe(q, c, g_inv).label
+        count = rhs_counts.get(pair_payloads(c, mul(c, g_inv)), 0)
+        label = _probe(ctx, q, c, g_inv)[0]
         rows.append(CensusRow(c_exp, count, label))
         accepting_pairs += count
         if count:
             by_verdict[label] += 1
-        c = c * g
+        c = mul(c, g)
     return CensusResult(n, rows, accepting_pairs, by_verdict)

@@ -10,6 +10,7 @@ from paircommit import (
     COMMITS_TO_1,
     Commitment,
     CommitmentKey,
+    ContextMismatch,
     INVALID,
     accepting_census,
     audit,
@@ -139,6 +140,13 @@ class TestAudit:
         for m in (0, 1):
             v = audit(7, ck, commit(ck, m, rng.randrange(35)))
             assert v.label == (COMMITS_TO_0 if m == 0 else COMMITS_TO_1)
+
+    def test_commitment_from_another_context_rejected(self, t35, c35):
+        """A c whose tag matches the key but whose element lives elsewhere
+        is refused, though the probes run on payloads."""
+        ck, _ = binding_key_from_exponent(c35, 3)
+        with pytest.raises(ContextMismatch):
+            audit(7, ck, Commitment(t35.g, key_fingerprint(ck)))
 
     @pytest.mark.parametrize("backend", ["transparent", "curve"])
     def test_verdict_carries_its_probes(self, t35, c35, backend):

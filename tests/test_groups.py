@@ -119,7 +119,8 @@ class TestOperations:
 
     def test_every_power_calls_g_pow(self, t35, monkeypatch):
         """The benchmark counts powers as calls of groups.g_pow; a ** e that
-        skipped it would read 0 there and fail nothing else."""
+        skipped it would read 0 there and fail nothing else. audit takes
+        its probes on payloads, as the census does, so it raises no element."""
         real, calls = groups.g_pow, []
 
         def counting(a, e):
@@ -130,7 +131,7 @@ class TestOperations:
         ck, _ = binding_key_from_exponent(t35, 3)
         c = commit(ck, 1, 2)
         for op, count in ((lambda: commit(ck, 1, 2), 2), (lambda: wi_prove(ck, 1, 2), 2),
-                          (lambda: audit(7, ck, c), 2), (lambda: t35.g ** 5, 1)):
+                          (lambda: audit(7, ck, c), 0), (lambda: t35.g ** 5, 1)):
             calls.clear()
             op()
             assert len(calls) == count
