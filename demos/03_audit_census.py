@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Ground truth by counting: for EVERY c, how many pi pass verification,
 # compared against the audit oracle. The census tabulates verify's right
-# side pair(h, pi) once over all pi and looks up its left side
-# pair(c, c/g) for each c. No algebraic argument, just counting.
+# side pair(h, pi) over all pi and looks up its left side pair(c, c/g),
+# once on each factor of G = G_p x G_q, since a pairing across the two is
+# 1. No argument about the forgery, just counting.
 
 from paircommit import (
     accepting_census,

@@ -372,11 +372,17 @@ def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
 
 
 def census_lines(result: CensusResult) -> List[str]:
+    """A row per c, or above CENSUS_MAX_ORDER a line per residue of c mod p
+    and mod q: c = g^e accepts the product of its two residues' counts."""
     lines = [f"n={result.n}"]
-    for row in result.rows:
-        lines.append(
-            f"c={row.c_exp} accepting_pi_count={row.accepting_pi_count} "
-            f"verdict={row.verdict_label}")
+    if result.rows is None:
+        lines += [f"c_mod_p={a} accepting_pi_count_p={count} verdict={label}"
+                  for a, (count, label) in enumerate(zip(result.p_counts, result.p_labels))]
+        lines += [f"c_mod_q={b} accepting_pi_count_q={count}"
+                  for b, count in enumerate(result.q_counts)]
+    else:
+        lines += [f"c={row.c_exp} accepting_pi_count={row.accepting_pi_count} "
+                  f"verdict={row.verdict_label}" for row in result.rows]
     lines.append(f"accepting_pairs={result.accepting_pairs}")
     for label in ("CommitsTo0", "CommitsTo1", "Invalid"):
         lines.append(f"accepting_c_{label}={result.accepting_c_by_verdict[label]}")

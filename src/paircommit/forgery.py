@@ -16,19 +16,23 @@ passes verification.
 Whether that pair is actually a *false* claim is a separate question,
 and this module refuses to answer it by fiat: `audit` classifies any
 commitment using the order-q subgroup probes c^q and (c/g)^q, and
-`accepting_census` counts the accepting pi of every c on a transparent
-context, by a join over verify's two sides, so the set of provable
+`accepting_census` counts the accepting pi of every c, factor by factor
+of G = G_p x G_q (a pairing across the two is 1), so the set of provable
 commitments is known exactly. `claim_report` lays the forgery's computed
 properties next to the audit verdict and takes no position.
 
 The rule that turns the two probes into a label has one owner, `_probe`,
 which works on the backend's payloads: `audit` wraps its probes into the
-Verdict's elements, and the census, which walks c, c/g and pi as payloads
-with no element per row, keeps only the label. The results are
-NamedTuple records, each equal only to a record of its own type.
+Verdict's elements, and the census, which labels each residue mod p with
+no element per row, keeps only the label. The results are NamedTuple
+records, each equal only to a record of its own type.
 """
 
 import random
+from collections import Counter
+from functools import partial
+from itertools import accumulate, cycle, repeat
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .arith import ext_gcd, mod_inverse
@@ -47,7 +51,6 @@ from .errors import KeyMismatch
 from .groups import (
     GElement,
     GroupContext,
-    TRANSPARENT,
     _same_group,
     is_in_subgroup_q,
 )
@@ -125,18 +128,29 @@ class CensusRow(NamedTuple):
 
 
 class CensusResult(NamedTuple):
+    """Totals and the factor tables: c = g^e's row is (e, p_counts[e % p] *
+    q_counts[e % q], p_labels[e % p]); rows is None above CENSUS_MAX_ORDER."""
+
     n: int
-    rows: List[CensusRow]
+    rows: Optional[List[CensusRow]]
     accepting_pairs: int
     accepting_c_by_verdict: Dict[str, int]
+    p_counts: List[int]
+    q_counts: List[int]
+    p_labels: List[str]
 
     __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
 
     def accepting_exponents(self) -> set:
-        return {row.c_exp for row in self.rows if row.accepting_pi_count > 0}
+        return {row.c_exp for row in self._rows() if row.accepting_pi_count > 0}
 
     def non_invalid_exponents(self) -> set:
-        return {row.c_exp for row in self.rows if row.verdict_label != INVALID}
+        return {row.c_exp for row in self._rows() if row.verdict_label != INVALID}
+
+    def _rows(self) -> List[CensusRow]:
+        if self.rows is None:
+            raise ValueError(f"census of n={self.n} > {CENSUS_MAX_ORDER} has no rows")
+        return self.rows
 
 
 def _b(flag: bool) -> str:
@@ -236,40 +250,41 @@ def accepting_census(ctx: GroupContext, ck: CommitmentKey) -> CensusResult:
     verdict; the decisive check of whether an accepting proof exists for
     any c outside the set the audit calls valid.
 
-    verify accepts iff pair(c, c*g^-1) = pair(h, pi): count the values of
-    pair(h, pi) over pi = g^f, f < n, then read each c = g^e's count off
-    at pair(c, c*g^-1). 2n pairings, not n^2 verifications. The curve
-    backend is refused, though the join runs there too.
+    verify's pair(c, c*g^-1) = pair(h, pi) holds iff it holds on G_p and on
+    G_q, as a pairing across the two is 1. So c = g^e accepts
+    p_counts[e % p] * q_counts[e % q] proofs, and audit labels it by e mod
+    p: 2(p + q) pairings, where a join over all of G makes 2n.
     """
-    if ctx.backend != TRANSPARENT:
-        raise ValueError("census needs the transparent backend")
     if not ctx.knows_factorization:
         raise ValueError("census needs a context that knows p and q")
-    n = ctx.n
-    if n > CENSUS_MAX_ORDER:
-        raise ValueError(f"census prints a row per element; refusing n={n} > {CENSUS_MAX_ORDER}")
     if ck.context != ctx:
         raise KeyMismatch("key does not live on the given context")
-    # verify's two sides and audit's rule, all on payloads
-    q, mul, pair_payloads = ctx.q, ctx._el_mul, ctx._pair
+    n, p, q = ctx.n, ctx.p, ctx.q
     g, h = ctx.g.value, ck.h.value
+    p_counts = _factor_counts(ctx, g, h, q * mod_inverse(q, p), p)
+    q_counts = _factor_counts(ctx, g, h, p * mod_inverse(p, q), q)
     g_inv = ctx._el_inv(g)
-    rhs_counts: Dict[object, int] = {}
-    pi = ctx._el_identity
-    for _ in range(n):
-        rhs = pair_payloads(h, pi)
-        rhs_counts[rhs] = rhs_counts.get(rhs, 0) + 1
-        pi = mul(pi, g)
-    rows = []
-    accepting_pairs = 0
+    p_labels = [_probe(ctx, q, ctx._el_pow(g, a), g_inv)[0] for a in range(p)]
+    # CensusRow._make without its length check, which zip makes moot
+    rows = None if n > CENSUS_MAX_ORDER else list(map(partial(tuple.__new__, CensusRow), zip(
+        range(n), map(mul, cycle(p_counts), cycle(q_counts)), cycle(p_labels))))
+    # by the remainder theorem, each residue a mod p meets every residue mod q
+    q_accepting = sum(map(bool, q_counts))
     by_verdict: Dict[str, int] = {COMMITS_TO_0: 0, COMMITS_TO_1: 0, INVALID: 0}
-    c = ctx._el_identity
-    for c_exp in range(n):
-        count = rhs_counts.get(pair_payloads(c, mul(c, g_inv)), 0)
-        label = _probe(ctx, q, c, g_inv)[0]
-        rows.append(CensusRow(c_exp, count, label))
-        accepting_pairs += count
-        if count:
-            by_verdict[label] += 1
-        c = mul(c, g)
-    return CensusResult(n, rows, accepting_pairs, by_verdict)
+    for count, label in zip(p_counts, p_labels):
+        by_verdict[label] += q_accepting if count else 0
+    return CensusResult(n, rows, sum(p_counts) * sum(q_counts), by_verdict,
+                        p_counts, q_counts, p_labels)
+
+
+def _factor_counts(ctx: GroupContext, g, h, u: int, order: int) -> List[int]:
+    """On the factor of G of the given prime order that x -> x^u projects
+    onto (u = q*(q^-1 mod p) for G_p): for each a < order, the number of
+    f < order with pair(h, g_u^f) = pair(g_u^a, g_u^(a-1)), g_u = g^u. A
+    pairing with g_u^f sees h's part on that factor alone."""
+    # g_u^0, g_u^1, ...; accumulate's initial= would take the curve's identity, None, for none
+    powers = [ctx._el_identity, *accumulate(repeat(ctx._el_pow(g, u), order - 1), ctx._el_mul)]
+    rhs_counts = Counter(ctx._pair(h, pi) for pi in powers)
+    # g_u^(a-1) is the power before g_u^a, cyclically
+    return [rhs_counts[ctx._pair(c, c_over_g)]
+            for c, c_over_g in zip(powers, powers[-1:] + powers[:-1])]

@@ -261,7 +261,7 @@ h=G:9
 q=7
 """
 
-PIPELINE_CURVE_SHA256 = "5b84bd1523851aeda30a94caf016fa74623f4663d3f923f6d47eaa44dcb658ee"
+PIPELINE_CURVE_SHA256 = "4379ad1578f06a974789634898180ff60f7ed81fc9b1fc1bbd6434eae69dfe6a"
 
 
 class TestParams:
@@ -812,7 +812,7 @@ class TestTwoKeyCalls:
 
     @pytest.mark.parametrize("cmd, backend", [
         ("audit", TRANSPARENT), ("audit", CURVE), ("forge", TRANSPARENT), ("forge", CURVE),
-        ("census", TRANSPARENT)])  # the census runs on the transparent backend alone
+        ("census", TRANSPARENT), ("census", CURVE)])
     def test_one_context(self, capsys, workdir, monkeypatch, backend, cmd):
         from paircommit.groups import GroupContext
         ck, xk, c = self._keys(capsys, workdir, backend)

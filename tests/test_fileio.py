@@ -239,6 +239,24 @@ class TestArtifactFiles:
         assert "c=2 accepting_pi_count=0 verdict=Invalid" in lines
         assert "accepting_pairs=30" in lines
 
+    def test_census_lines_above_the_cap(self):
+        """Above CENSUS_MAX_ORDER, a line per residue of c mod p (with its
+        verdict) and mod q, and the totals."""
+        from paircommit import accepting_census, setup_transparent
+        ctx = setup_transparent(3, 4099)
+        ck, _ = binding_key_from_exponent(ctx, 1)
+        assert fileio.census_lines(accepting_census(ctx, ck)) == [
+            "n=12297",
+            "c_mod_p=0 accepting_pi_count_p=3 verdict=CommitsTo0",
+            "c_mod_p=1 accepting_pi_count_p=3 verdict=CommitsTo1",
+            "c_mod_p=2 accepting_pi_count_p=0 verdict=Invalid",
+        ] + [f"c_mod_q={b} accepting_pi_count_q=1" for b in range(4099)] + [
+            "accepting_pairs=24594",
+            "accepting_c_CommitsTo0=4099",
+            "accepting_c_CommitsTo1=4099",
+            "accepting_c_Invalid=0",
+        ]
+
 
 def _replace_field(path, field, value):
     lines = path.read_text().splitlines()

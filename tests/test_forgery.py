@@ -1,8 +1,11 @@
 """Forgery procedure, audit oracle, claim report, and the census."""
 
+import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paircommit import (
     BINDING,
@@ -23,11 +26,13 @@ from paircommit import (
     hiding_key_from_exponent,
     hiding_keygen,
     is_in_subgroup_q,
+    is_probable_prime,
     key_fingerprint,
     setup_curve,
     setup_transparent,
     verify,
 )
+from paircommit.forgery import CENSUS_MAX_ORDER, CensusRow, _probe
 from paircommit.selftest import audit_labels, census, forgery_accepts
 
 
@@ -238,6 +243,30 @@ class TestCensus:
             verified += accepted
         assert verified == result.accepting_pairs
 
+    @pytest.mark.parametrize("pq", [(3, 5), (5, 7), (11, 13), (61, 67)],
+                             ids=["n15", "n35", "n143", "n4087"])
+    def test_equals_the_join(self, pq, rng):
+        """The factor tables give the rows and totals of the join over all
+        of G, with binding and hiding keys."""
+        ctx = setup_transparent(*pq)
+        for keygen in (binding_keygen, hiding_keygen):
+            ck, _ = keygen(ctx, rng)
+            result = accepting_census(ctx, ck)
+            assert (result.rows, result.accepting_pairs,
+                    result.accepting_c_by_verdict) == _joined_census(ctx, ck)
+
+    def test_curve_equals_the_join(self):
+        """On the curve the census equals the curve's own join, and the
+        transparent census of a key at the same x."""
+        for p, q in ((3, 5), (5, 7), (41, 73)):
+            ctx = setup_curve(p, q, random.Random(p * q))
+            ck, _ = binding_key_from_exponent(ctx, 2)
+            result = accepting_census(ctx, ck)
+            assert (result.rows, result.accepting_pairs,
+                    result.accepting_c_by_verdict) == _joined_census(ctx, ck)
+            twin = setup_transparent(p, q)
+            assert result == accepting_census(twin, binding_key_from_exponent(twin, 2)[0])
+
     def test_rows_carry_audit_verdict(self, t15, t35, rng):
         """Each row's label is what `audit` says of its c, under binding
         and hiding keys."""
@@ -271,10 +300,15 @@ class TestCensus:
         assert self._assert_closed_form(ctx, ck) == 1
 
     def test_closed_form_every_h(self, t15, t35):
-        """The same count for every h of G, the identity (d = n) included."""
+        """The same count for every h of G, the identity (d = n) included,
+        and the census equals the join over all of G at each."""
         for ctx in (t15, t35):
             for h_exp in range(ctx.n):
-                self._assert_closed_form(ctx, CommitmentKey(ctx, ctx.g ** h_exp, BINDING))
+                ck = CommitmentKey(ctx, ctx.g ** h_exp, BINDING)
+                self._assert_closed_form(ctx, ck)
+                result = accepting_census(ctx, ck)
+                assert (result.rows, result.accepting_pairs,
+                        result.accepting_c_by_verdict) == _joined_census(ctx, ck)
 
     @pytest.mark.parametrize("pq", [(3, 5), (5, 7)], ids=["n15", "n35"])
     def test_every_forgery_commits_to_1(self, pq):
@@ -305,18 +339,84 @@ class TestCensus:
         result = accepting_census(t35, ck)
         assert rec.c.c.value in result.accepting_exponents()
 
-    def test_curve_backend_rejected(self, c35):
-        ck, _ = binding_key_from_exponent(c35, 3)
-        with pytest.raises(ValueError):
-            accepting_census(c35, ck)
-
-    def test_too_large_rejected(self, rng):
+    def test_above_the_cap_keeps_the_tables(self, rng):
+        """Above CENSUS_MAX_ORDER the census has no rows, and the two set
+        queries raise rather than answer from none; the totals and the
+        factor tables stay."""
         p = gen_prime(7, rng)
         q = 4099  # prime, pushes n over 2^12
         ctx = setup_transparent(p, q)
         ck, _ = binding_keygen(ctx, rng)
-        with pytest.raises(ValueError):
-            accepting_census(ctx, ck)
+        result = accepting_census(ctx, ck)
+        assert result.rows is None
+        for query in (result.accepting_exponents, result.non_invalid_exponents):
+            with pytest.raises(ValueError):
+                query()
+        assert result.p_counts == [p, p] + [0] * (p - 2)
+        assert result.q_counts == [1] * q
+        assert result.p_labels == [COMMITS_TO_0, COMMITS_TO_1] + [INVALID] * (p - 2)
+        assert result.accepting_pairs == 2 * ctx.n
+        assert result.accepting_c_by_verdict == {COMMITS_TO_0: q, COMMITS_TO_1: q, INVALID: 0}
+
+
+def _joined_census(ctx, ck):
+    """The census as a join over all of G, 2n pairings: count pair(h, pi)
+    over pi = g^f, f < n, then read each c = g^e's count off at
+    pair(c, c*g^-1), labelled by audit's rule. (rows, accepting_pairs,
+    accepting_c_by_verdict)."""
+    n, q, mul, pair_payloads = ctx.n, ctx.q, ctx._el_mul, ctx._pair
+    g, h = ctx.g.value, ck.h.value
+    g_inv = ctx._el_inv(g)
+    rhs_counts = {}
+    pi = ctx._el_identity
+    for _ in range(n):
+        rhs = pair_payloads(h, pi)
+        rhs_counts[rhs] = rhs_counts.get(rhs, 0) + 1
+        pi = mul(pi, g)
+    rows = []
+    by_verdict = {COMMITS_TO_0: 0, COMMITS_TO_1: 0, INVALID: 0}
+    c = ctx._el_identity
+    for c_exp in range(n):
+        count = rhs_counts.get(pair_payloads(c, mul(c, g_inv)), 0)
+        label = _probe(ctx, q, c, g_inv)[0]
+        rows.append(CensusRow(c_exp, count, label))
+        if count:
+            by_verdict[label] += 1
+        c = mul(c, g)
+    return rows, sum(row.accepting_pi_count for row in rows), by_verdict
+
+
+_PRIMES = [k for k in range(2, 2 ** 12) if is_probable_prime(k)]
+# a prime of 2 to 12 bits, the bit length drawn first, so small n come up often
+_prime = st.integers(2, 12).flatmap(
+    lambda bits: st.sampled_from([k for k in _PRIMES if k.bit_length() == bits]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(p=_prime, q=_prime, x=st.integers(1))
+def test_census_at_random_n(p, q, x):
+    """At n up to 2^24: a binding key accepts 2n pairs and no Invalid c, a
+    hiding key every c once, and below the cap the rows are the tables
+    expanded."""
+    assume(p != q)
+    p, q = min(p, q), max(p, q)
+    n, ctx = p * q, setup_transparent(p, q)
+    x = 1 + x % (q - 1)
+    binding = accepting_census(ctx, binding_key_from_exponent(ctx, x)[0])
+    assert binding.accepting_pairs == 2 * n
+    assert binding.accepting_c_by_verdict == {COMMITS_TO_0: q, COMMITS_TO_1: q, INVALID: 0}
+    hiding = accepting_census(ctx, hiding_key_from_exponent(ctx, x if x % p else x - 1)[0])
+    assert hiding.accepting_pairs == n
+    assert hiding.accepting_c_by_verdict == {COMMITS_TO_0: q, COMMITS_TO_1: q,
+                                             INVALID: n - 2 * q}
+    for result in (binding, hiding):
+        cp, cq, labels = result.p_counts, result.q_counts, result.p_labels
+        assert (len(cp), len(cq), len(labels)) == (p, q, p)
+        if n <= CENSUS_MAX_ORDER:
+            assert result.rows == [CensusRow(e, cp[e % p] * cq[e % q], labels[e % p])
+                                   for e in range(n)]
+        else:
+            assert result.rows is None
 
 
 def _random_prime_pair(rng, backend):

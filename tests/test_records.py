@@ -42,7 +42,8 @@ FIELDS = {
     ForgeryRecord: ("k_a", "ell", "alpha1", "alpha2", "beta1", "beta2", "c", "pi"),
     ClaimReport: ("verification_passes", "alpha1_is_bit", "g_alpha1_in_gq", "verdict"),
     CensusRow: ("c_exp", "accepting_pi_count", "verdict_label"),
-    CensusResult: ("n", "rows", "accepting_pairs", "accepting_c_by_verdict"),
+    CensusResult: ("n", "rows", "accepting_pairs", "accepting_c_by_verdict",
+                   "p_counts", "q_counts", "p_labels"),
     Commitment: ("c", "key_fp"),
     WIProof: ("pi", "key_fp"),
     Opening: ("m", "r"),
