@@ -10,21 +10,17 @@ Nothing in this module is constant-time; it is desk-scale lab code.
 """
 
 import random
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import NotInvertible
 
+ExtGcdResult = namedtuple("ExtGcdResult", "g s t")
 
-class ExtGcdResult(NamedTuple):
-    g: int
-    s: int
-    t: int
-
-
-# Witnesses making Miller-Rabin deterministic below psi_13 =
-# 3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017);
-# without 41, psi_12 = 318665857834031151167461 passes.
+# Witnesses making Miller-Rabin deterministic below psi_13 (Sorenson and
+# Webster, Math. Comp. 2017); without 41, psi_12 =
+# 318665857834031151167461 passes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -62,12 +58,14 @@ def mod_inverse(a: int, n: int) -> int:
     return s % n
 
 
-def is_probable_prime(n: int, rng: Optional[random.Random] = None, rounds: int = 40) -> bool:
+def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 40) -> bool:
     """Miller-Rabin primality test.
 
-    Below 47^2 trial division by the small primes decides. Otherwise
-    runs the fixed witness set (deterministic below psi_13, about
-    3.3e24), then `rounds` random witnesses when an rng is supplied.
+    Below 47^2 trial division by the small primes decides, and below
+    psi_13 (about 3.3e24) the fixed witness set does. From psi_13 up, an
+    rng's `rounds` random witnesses are tested as well. An rng draws its
+    `rounds` witnesses whenever nothing before them refused n, tested or
+    not, because the draws fix seeded output.
     """
     if n < 2:
         return False
@@ -76,35 +74,31 @@ def is_probable_prime(n: int, rng: Optional[random.Random] = None, rounds: int =
             return True
         if n % p == 0:
             return False
-    if n < _SMALL_PRIMES[-1] ** 2:
-        # no factor up to 47 and below 47^2: prime. The random witnesses
-        # are still drawn, because the draws fix seeded output.
-        if rng is not None:
-            for _ in range(rounds):
-                rng.randrange(2, n - 1)
-        return True
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    proven = n < _SMALL_PRIMES[-1] ** 2  # no factor up to 47, so prime
+    if not proven:
+        d = n - 1
+        s = 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
 
-    def witness_passes(a: int) -> bool:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            return True
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+        def witness_passes(a: int) -> bool:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
                 return True
-        return False
-
-    for a in _MR_BASES:
-        if not witness_passes(a):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    return True
             return False
+
+        if not all(map(witness_passes, _MR_BASES)):
+            return False
+        proven = n < _PSI13
     if rng is not None:
         for _ in range(rounds):
-            if not witness_passes(rng.randrange(2, n - 1)):
+            a = rng.randrange(2, n - 1)
+            if not proven and not witness_passes(a):
                 return False
     return True
 

@@ -15,7 +15,6 @@ usage errors read as from the parser with every command.
 import argparse
 import random
 import sys
-from typing import List, Optional
 
 from . import fileio
 from .arith import gen_prime
@@ -43,6 +42,9 @@ def cmd_params(args) -> int:
     for name, bits in (("--bits-p", args.bits_p), ("--bits-q", args.bits_q)):
         if not 2 <= bits <= 64:
             raise ValueError(f"{name} must lie in [2, 64], got {bits}")
+    if args.bits_p == args.bits_q == 2:
+        raise ValueError("--bits-p and --bits-q cannot both be 2: p and q must differ, "
+                         "and 3 is the only odd 2-bit prime")
     rng = random.Random(args.seed)
     p = gen_prime(args.bits_p, rng)
     q = gen_prime(args.bits_q, rng)
@@ -231,7 +233,7 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The paircommit parser for an argv whose first item is command.
 
     When command is a command name, only that command's sub-parser is
@@ -258,7 +260,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(argv[0] if argv else None)

@@ -14,7 +14,7 @@ pi = (g^(2m-1) h^r)^r, accepted iff e(c, c*g^-1) = e(h, pi).
 
 import hashlib
 import random
-from typing import List, NamedTuple, Tuple
+from collections import namedtuple
 
 from .arith import ext_gcd, mod_inverse
 from .errors import InvalidKey, KeyMismatch, NotExtractable
@@ -38,8 +38,16 @@ def _record_eq(self, other) -> bool:
     return type(other) is type(self) and tuple.__eq__(self, other)
 
 
-def _record_ne(self, other) -> bool:
-    return not _record_eq(self, other)
+def _record(name: str, fields: str, module: str, doc: str | None = None) -> type:
+    """A namedtuple type whose values are equal only to values of that same
+    type; a record with methods subclasses it with __slots__ = ()."""
+    cls = namedtuple(name, fields, module=module)
+    cls.__eq__ = _record_eq
+    cls.__ne__ = lambda self, other: not _record_eq(self, other)
+    cls.__hash__ = tuple.__hash__
+    if doc is not None:
+        cls.__doc__ = doc
+    return cls
 
 
 class _Frozen:
@@ -47,7 +55,7 @@ class _Frozen:
     and hash over _fields within one type, and the repr of a dataclass."""
 
     __slots__ = ()
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -106,35 +114,13 @@ class ExtractionKey(_Frozen):
         set_field(self, "_steps", None)
 
 
-class TrapdoorKey(NamedTuple):
-    ck: CommitmentKey
-    x: int
-
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
-
-
-class Commitment(NamedTuple):
-    c: GElement
-    key_fp: str
-
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
+TrapdoorKey = _record("TrapdoorKey", "ck x", __name__)
+Commitment = _record("Commitment", "c key_fp", __name__)
+WIProof = _record("WIProof", "pi key_fp", __name__)
+Opening = _record("Opening", "m r", __name__)
 
 
-class WIProof(NamedTuple):
-    pi: GElement
-    key_fp: str
-
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
-
-
-class Opening(NamedTuple):
-    m: int
-    r: int
-
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
-
-
-def key_fields(ck: CommitmentKey) -> List[Tuple[str, str]]:
+def key_fields(ck: CommitmentKey) -> list[tuple[str, str]]:
     """The public key material, in the order key files list it."""
     ctx = ck.context
     fields = [("mode", ck.mode), ("backend", ctx.backend), ("n", str(ctx.n))]
@@ -155,13 +141,13 @@ def check_key(ck: CommitmentKey, c: Commitment) -> None:
         raise KeyMismatch("commitment was made under a different key")
 
 
-def _require_factorization(ctx: GroupContext) -> Tuple[int, int]:
+def _require_factorization(ctx: GroupContext) -> tuple[int, int]:
     if not ctx.knows_factorization:
         raise ValueError("key generation needs a context that knows p and q")
     return ctx.p, ctx.q
 
 
-def binding_key_from_exponent(ctx: GroupContext, x: int) -> Tuple[CommitmentKey, ExtractionKey]:
+def binding_key_from_exponent(ctx: GroupContext, x: int) -> tuple[CommitmentKey, ExtractionKey]:
     """Binding key with pinned x: h = g^(p*x). For reproducible setups."""
     p, q = _require_factorization(ctx)
     if not 1 <= x < q:
@@ -171,7 +157,7 @@ def binding_key_from_exponent(ctx: GroupContext, x: int) -> Tuple[CommitmentKey,
     return ck, ExtractionKey(ck, q)
 
 
-def hiding_key_from_exponent(ctx: GroupContext, x: int) -> Tuple[CommitmentKey, TrapdoorKey]:
+def hiding_key_from_exponent(ctx: GroupContext, x: int) -> tuple[CommitmentKey, TrapdoorKey]:
     """Hiding key with pinned x: h = g^x, gcd(x, n) = 1 so division by x works."""
     _, q = _require_factorization(ctx)
     if not 1 <= x < q:
@@ -183,13 +169,13 @@ def hiding_key_from_exponent(ctx: GroupContext, x: int) -> Tuple[CommitmentKey, 
     return ck, TrapdoorKey(ck, x)
 
 
-def binding_keygen(ctx: GroupContext, rng: random.Random) -> Tuple[CommitmentKey, ExtractionKey]:
+def binding_keygen(ctx: GroupContext, rng: random.Random) -> tuple[CommitmentKey, ExtractionKey]:
     """Sample x from Z_q^* and build the perfectly binding key."""
     _, q = _require_factorization(ctx)
     return binding_key_from_exponent(ctx, rng.randrange(1, q))
 
 
-def hiding_keygen(ctx: GroupContext, rng: random.Random) -> Tuple[CommitmentKey, TrapdoorKey]:
+def hiding_keygen(ctx: GroupContext, rng: random.Random) -> tuple[CommitmentKey, TrapdoorKey]:
     """Sample x from Z_q^* (resampling until gcd(x, n) = 1) and build the
     perfectly hiding key.
 

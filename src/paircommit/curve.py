@@ -28,16 +28,15 @@ at Q with no point arithmetic. Nothing is cached in this module.
 """
 
 import random
-from typing import List, Optional, Tuple
 
 from .arith import is_probable_prime
 from .errors import DegeneratePairing
 
-Point = Optional[Tuple[int, int]]
-Fp2 = Tuple[int, int]
+Point = tuple[int, int] | None
+Fp2 = tuple[int, int]
 # a recorded Miller line (A', B'): the line (A, B, C), whose value at
 # (-x_Q, i*y_Q) is (A*x_Q + B) + i*C*y_Q, divided by C
-Line = Tuple[int, int]
+Line = tuple[int, int]
 
 F2_ONE: Fp2 = (1, 0)
 F2_ZERO: Fp2 = (0, 0)
@@ -108,7 +107,7 @@ def ec_add(fp: int, a: Point, b: Point) -> Point:
     return (x3, y3)
 
 
-def _jac_double(fp: int, x: int, y: int, z: int) -> Tuple[int, ...]:
+def _jac_double(fp: int, x: int, y: int, z: int) -> tuple[int, ...]:
     # 2T for T = (x : y : z); also M = 3x^2 + z^4, y^2 and z^2, from which
     # the Miller loop builds the tangent at T. z = 0 (infinity) stays 0.
     yy = y * y % fp
@@ -119,7 +118,7 @@ def _jac_double(fp: int, x: int, y: int, z: int) -> Tuple[int, ...]:
     return x3, (m * (s - x3) - 8 * yy * yy) % fp, 2 * y * z % fp, m, yy, zz
 
 
-def _jac_add(fp: int, x: int, y: int, z: int, px: int, py: int) -> Tuple[int, ...]:
+def _jac_add(fp: int, x: int, y: int, z: int, px: int, py: int) -> tuple[int, ...]:
     # T + P for Jacobian T != infinity and affine P; also r = py*z^3 - y,
     # the chord's slope times z3. z3 = 0 means T = -P, or T = P if r = 0 too.
     zz = z * z % fp
@@ -132,7 +131,7 @@ def _jac_add(fp: int, x: int, y: int, z: int, px: int, py: int) -> Tuple[int, ..
     return x3, (r * (v - x3) - y * hhh) % fp, z * h % fp, r
 
 
-def _add_affine(fp: int, x: int, y: int, z: int, px: int, py: int) -> Tuple[int, int, int]:
+def _add_affine(fp: int, x: int, y: int, z: int, px: int, py: int) -> tuple[int, int, int]:
     # T + P for Jacobian T and affine P, also when T is infinity, -P or P
     if z == 0:
         return px, py, 1
@@ -150,7 +149,7 @@ def _affine(fp: int, x: int, y: int, z: int) -> Point:
     return (x * zinv2 % fp, y * zinv2 * zinv % fp)
 
 
-def _naf(k: int) -> List[int]:
+def _naf(k: int) -> list[int]:
     """The NAF (signed binary) digits of k, least significant first."""
     digits = []
     while k:
@@ -160,7 +159,7 @@ def _naf(k: int) -> List[int]:
     return digits
 
 
-def _inverses(fp: int, values: List[int]) -> List[int]:
+def _inverses(fp: int, values: list[int]) -> list[int]:
     """The inverse mod fp of each value, 0 for 0, with one inversion
     (Montgomery's trick: invert the product of the nonzero values)."""
     prefix, acc = [], 1
@@ -174,7 +173,7 @@ def _inverses(fp: int, values: List[int]) -> List[int]:
     return out
 
 
-def ec_mul(fp: int, pt: Point, k: int, table: Optional[List[Point]] = None) -> Point:
+def ec_mul(fp: int, pt: Point, k: int, table: list[Point] | None = None) -> Point:
     """k*pt, with one inversion at the end.
 
     Given table = doubling_table(fp, pt, size) and |k| < 2^(size - 1), the
@@ -201,7 +200,7 @@ def ec_mul(fp: int, pt: Point, k: int, table: Optional[List[Point]] = None) -> P
     return _affine(fp, x, y, z)
 
 
-def doubling_table(fp: int, pt: Point, size: int) -> List[Point]:
+def doubling_table(fp: int, pt: Point, size: int) -> list[Point]:
     """[2^i * pt for i in range(size)], affine, with one batched inversion.
 
     Entries past a point of order 2^i are None, the point at infinity.
@@ -244,7 +243,7 @@ def mul_is_infinity(fp: int, pt: Point, k: int) -> bool:
     return za == 0
 
 
-def sqrt_mod(fp: int, a: int) -> Optional[int]:
+def sqrt_mod(fp: int, a: int) -> int | None:
     """Square root mod fp for fp = 3 (mod 4); None if a is a non-residue."""
     a %= fp
     if a == 0:
@@ -269,7 +268,7 @@ def random_point(fp: int, rng: random.Random) -> Point:
 
 
 def find_curve_field(n: int, bound: int = 2 ** 20,
-                     rng: Optional[random.Random] = None) -> Tuple[int, int]:
+                     rng: random.Random | None = None) -> tuple[int, int]:
     """Smallest even cofactor c >= 2 with c*n - 1 prime and = 3 (mod 4).
 
     Returns (cofactor, field prime). fp must be odd, hence even cofactors only.
@@ -286,7 +285,7 @@ def find_curve_field(n: int, bound: int = 2 ** 20,
 # ---------------------------------------------------------------------------
 # modified Tate pairing
 
-def _tangent(fp: int, x: int, y: int, z: int) -> Tuple[int, ...]:
+def _tangent(fp: int, x: int, y: int, z: int) -> tuple[int, ...]:
     # 2T, then the tangent at T as (A, B, C), unreduced: its value at
     # (-x_Q, i*y_Q) times 2*y*z^3 is (A*x_Q + B) + i*C*y_Q
     x3, y3, z3, m, yy, zz = _jac_double(fp, x, y, z)
@@ -294,7 +293,7 @@ def _tangent(fp: int, x: int, y: int, z: int) -> Tuple[int, ...]:
 
 
 def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point,
-                 lines: Optional[List[Optional[Line]]] = None) -> Fp2:
+                 lines: list[Line | None] | None = None) -> Fp2:
     """Reduced modified Tate pairing of two points of order dividing n.
 
     Miller loop over the NAF digits of n on P = p_pt, in Jacobian
@@ -339,7 +338,7 @@ def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point,
         px, py = p_pt
         x, y, z = px, py, 1
         # None for a doubling step, the y of +-P for an addition step
-        steps: List[Optional[int]] = []
+        steps: list[int | None] = []
         for digit in reversed(_naf(n)[:-1]):
             steps += [None, py * digit % fp] if digit else [None]
         for sy in steps:

@@ -8,10 +8,9 @@ Secret key files embed the public key they belong to (xk = (ck, q),
 tk = (ck, x)); public key files never carry p, q, or any secret exponent.
 """
 
+import os
 from contextlib import contextmanager
 from math import gcd
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
 
 from .commitment import (
     BINDING,
@@ -39,20 +38,22 @@ from .groups import (
     point_from_text,
 )
 
-PathLike = Union[str, Path]
+PathLike = str | os.PathLike
 
 
-def write_kv(path: PathLike, fields: List[Tuple[str, str]]) -> None:
-    Path(path).write_bytes("".join(f"{k}={v}\n" for k, v in fields).encode("ascii"))
+def write_kv(path: PathLike, fields: list[tuple[str, str]]) -> None:
+    data = "".join(f"{k}={v}\n" for k, v in fields).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
-def parse_kv(text: str, where: str = "input") -> Dict[str, str]:
+def parse_kv(text: str, where: str = "input") -> dict[str, str]:
     """Fields of text as write_kv writes it: key=value lines, each ended
     by a newline; no blank line, and nothing stripped."""
     *lines, tail = text.split("\n")
     if tail:
         raise MalformedText(f"{where}: no newline at end of file")
-    fields: Dict[str, str] = {}
+    fields: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         if "=" not in line:
             raise MalformedText(f"{where}:{lineno}: expected key=value, got {line!r}")
@@ -63,16 +64,17 @@ def parse_kv(text: str, where: str = "input") -> Dict[str, str]:
     return fields
 
 
-def read_kv(path: PathLike) -> Dict[str, str]:
+def read_kv(path: PathLike) -> dict[str, str]:
     try:
-        # bytes, not read_text, which would turn \r\n into \n
-        text = Path(path).read_bytes().decode("ascii")
+        # bytes, not text mode, which would turn \r\n into \n
+        with open(path, "rb") as fh:
+            text = fh.read().decode("ascii")
     except UnicodeDecodeError as exc:
         raise MalformedText(f"{path}: byte {exc.start} is not ASCII") from None
     return parse_kv(text, where=str(path))
 
 
-def _read(path: PathLike, kind: str) -> Tuple[Dict[str, str], str]:
+def _read(path: PathLike, kind: str) -> tuple[dict[str, str], str]:
     where = str(path)
     fields = read_kv(path)
     got = _take(fields, "kind", where)
@@ -81,13 +83,13 @@ def _read(path: PathLike, kind: str) -> Tuple[Dict[str, str], str]:
     return fields, where
 
 
-def _take(fields: Dict[str, str], key: str, where: str) -> str:
+def _take(fields: dict[str, str], key: str, where: str) -> str:
     if key not in fields:
         raise MalformedText(f"{where}: missing field {key!r}")
     return fields[key]
 
 
-def _check_layout(fields: Dict[str, str], written: List[Tuple[str, str]],
+def _check_layout(fields: dict[str, str], written: list[tuple[str, str]],
                   where: str) -> None:
     """Refuse fields that are not the names the writer gives, in its order:
     each loader checks a file against the writer of the object it built."""
@@ -113,13 +115,13 @@ def _naming(where: str, key: str):
         raise type(exc)(f"{where}: field {key!r}: {exc}") from None
 
 
-def _take_int(fields: Dict[str, str], key: str, where: str) -> int:
+def _take_int(fields: dict[str, str], key: str, where: str) -> int:
     raw = _take(fields, key, where)
     with _naming(where, key):
         return _parse_int(raw, raw)
 
 
-def _take_element(fields: Dict[str, str], key: str, where: str,
+def _take_element(fields: dict[str, str], key: str, where: str,
                   ctx: GroupContext) -> GElement:
     text = _take(fields, key, where)
     with _naming(where, key):
@@ -129,7 +131,7 @@ def _take_element(fields: Dict[str, str], key: str, where: str,
 # ---------------------------------------------------------------------------
 # group contexts
 
-def context_fields(ctx: GroupContext) -> List[Tuple[str, str]]:
+def context_fields(ctx: GroupContext) -> list[tuple[str, str]]:
     """Full (factorization-carrying) context description."""
     if not ctx.knows_factorization:
         raise ValueError("context file needs the factorization")
@@ -157,9 +159,9 @@ def load_context(path: PathLike) -> GroupContext:
     return ctx
 
 
-def _context_from_fields(fields: Dict[str, str], where: str, n: int,
-                         p: Optional[int] = None,
-                         q: Optional[int] = None) -> GroupContext:
+def _context_from_fields(fields: dict[str, str], where: str, n: int,
+                         p: int | None = None,
+                         q: int | None = None) -> GroupContext:
     """The context a context file (n = p*q) or key file (n as written)
     describes; a group the constructor refuses is a DeserializeError."""
     backend = _take(fields, "backend", where)
@@ -180,8 +182,8 @@ def _context_from_fields(fields: Dict[str, str], where: str, n: int,
 # ---------------------------------------------------------------------------
 # keys
 
-def _key_from_fields(fields: Dict[str, str], where: str,
-                     p: Optional[int] = None, q: Optional[int] = None) -> CommitmentKey:
+def _key_from_fields(fields: dict[str, str], where: str,
+                     p: int | None = None, q: int | None = None) -> CommitmentKey:
     """The public key a key file lists."""
     mode = _take(fields, "mode", where)
     if mode not in (BINDING, HIDING):
@@ -196,7 +198,7 @@ def _key_from_fields(fields: Dict[str, str], where: str,
     return CommitmentKey(ctx, _take_element(fields, "h", where, ctx), mode)
 
 
-def _commitment_key_fields(ck: CommitmentKey) -> List[Tuple[str, str]]:
+def _commitment_key_fields(ck: CommitmentKey) -> list[tuple[str, str]]:
     return [("kind", "commitment-key")] + key_fields(ck)
 
 
@@ -205,7 +207,7 @@ def save_commitment_key(path: PathLike, ck: CommitmentKey) -> None:
 
 
 def load_commitment_key(path: PathLike,
-                        same_as: Optional[CommitmentKey] = None) -> CommitmentKey:
+                        same_as: CommitmentKey | None = None) -> CommitmentKey:
     """The key the file lists. A file that lists exactly the key same_as,
     which its caller has already checked, loads as same_as, and no second
     context is built for it."""
@@ -217,7 +219,7 @@ def load_commitment_key(path: PathLike,
     return ck
 
 
-def _extraction_key_fields(xk: ExtractionKey) -> List[Tuple[str, str]]:
+def _extraction_key_fields(xk: ExtractionKey) -> list[tuple[str, str]]:
     return [("kind", "extraction-key")] + key_fields(xk.ck) + [("q", str(xk.q))]
 
 
@@ -247,7 +249,7 @@ def load_extraction_key(path: PathLike) -> ExtractionKey:
     return xk
 
 
-def _trapdoor_key_fields(tk: TrapdoorKey) -> List[Tuple[str, str]]:
+def _trapdoor_key_fields(tk: TrapdoorKey) -> list[tuple[str, str]]:
     return [("kind", "trapdoor-key")] + key_fields(tk.ck) + [("x", str(tk.x))]
 
 
@@ -273,12 +275,12 @@ def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
 # protocol artifacts: a kind/n/key header, then the body
 
 def _artifact(kind: str, ck: CommitmentKey, key_fp: str,
-              body: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
+              body: list[tuple[str, str]]) -> list[tuple[str, str]]:
     return [("kind", kind), ("n", str(ck.context.n)), ("key", key_fp)] + body
 
 
 def _read_artifact(path: PathLike, kind: str,
-                   ck: CommitmentKey) -> Tuple[Dict[str, str], str]:
+                   ck: CommitmentKey) -> tuple[dict[str, str], str]:
     """Fields of an artifact file whose header matches ck."""
     fields, where = _read(path, kind)
     n = _take_int(fields, "n", where)
@@ -290,7 +292,7 @@ def _read_artifact(path: PathLike, kind: str,
     return fields, where
 
 
-def _commitment_fields(com: Commitment, ck: CommitmentKey) -> List[Tuple[str, str]]:
+def _commitment_fields(com: Commitment, ck: CommitmentKey) -> list[tuple[str, str]]:
     return _artifact("commitment", ck, com.key_fp, [("c", com.c.to_text())])
 
 
@@ -305,7 +307,7 @@ def load_commitment(path: PathLike, ck: CommitmentKey) -> Commitment:
     return com
 
 
-def _proof_fields(proof: WIProof, ck: CommitmentKey) -> List[Tuple[str, str]]:
+def _proof_fields(proof: WIProof, ck: CommitmentKey) -> list[tuple[str, str]]:
     return _artifact("proof", ck, proof.key_fp, [("pi", proof.pi.to_text())])
 
 
@@ -320,7 +322,7 @@ def load_proof(path: PathLike, ck: CommitmentKey) -> WIProof:
     return proof
 
 
-def _opening_fields(opening: Opening) -> List[Tuple[str, str]]:
+def _opening_fields(opening: Opening) -> list[tuple[str, str]]:
     return [("kind", "opening"), ("m", str(opening.m)), ("r", str(opening.r))]
 
 
@@ -335,7 +337,7 @@ def load_opening(path: PathLike) -> Opening:
     return opening
 
 
-def _forgery_fields(rec: ForgeryRecord, ck: CommitmentKey) -> List[Tuple[str, str]]:
+def _forgery_fields(rec: ForgeryRecord, ck: CommitmentKey) -> list[tuple[str, str]]:
     return _artifact("forgery", ck, rec.c.key_fp, [
         ("k_a", str(rec.k_a)),
         ("ell", str(rec.ell)),
@@ -371,7 +373,7 @@ def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
     return rec
 
 
-def census_lines(result: CensusResult) -> List[str]:
+def census_lines(result: CensusResult) -> list[str]:
     """A row per c, or above CENSUS_MAX_ORDER a line per residue of c mod p
     and mod q: c = g^e accepts the product of its two residues' counts."""
     lines = [f"n={result.n}"]

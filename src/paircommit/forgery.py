@@ -24,7 +24,7 @@ properties next to the audit verdict and takes no position.
 The rule that turns the two probes into a label has one owner, `_probe`,
 which works on the backend's payloads: `audit` wraps its probes into the
 Verdict's elements, and the census, which labels each residue mod p with
-no element per row, keeps only the label. The results are NamedTuple
+no element per row, keeps only the label. The results are namedtuple
 records, each equal only to a record of its own type.
 """
 
@@ -33,7 +33,6 @@ from collections import Counter
 from functools import partial
 from itertools import accumulate, cycle, repeat
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .arith import ext_gcd, mod_inverse
 from .commitment import (
@@ -41,8 +40,7 @@ from .commitment import (
     Commitment,
     CommitmentKey,
     WIProof,
-    _record_eq,
-    _record_ne,
+    _record,
     check_key,
     key_fingerprint,
     verify,
@@ -62,15 +60,11 @@ INVALID = "Invalid"
 CENSUS_MAX_ORDER = 2 ** 12
 
 
-class Verdict(NamedTuple):
+class Verdict(_record("Verdict", "label c_pow_q c_over_g_pow_q", __name__)):
     """Trapdoor-holder's classification of a commitment, with its probes
     c^q and (c/g)^q."""
 
-    label: str
-    c_pow_q: GElement
-    c_over_g_pow_q: GElement
-
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
+    __slots__ = ()
 
     @property
     def c_in_gq(self) -> bool:
@@ -80,37 +74,22 @@ class Verdict(NamedTuple):
     def c_over_g_in_gq(self) -> bool:
         return self.c_over_g_pow_q.is_identity()
 
-    def lines(self) -> List[str]:
+    def lines(self) -> list[str]:
         return [f"c_in_gq={_b(self.c_in_gq)}",
                 f"c_over_g_in_gq={_b(self.c_over_g_in_gq)}"]
 
 
-class ForgeryRecord(NamedTuple):
-    """Full witness tuple of one forgery run."""
-
-    k_a: int
-    ell: int
-    alpha1: int
-    alpha2: int
-    beta1: int
-    beta2: int
-    c: Commitment
-    pi: WIProof
-
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
+ForgeryRecord = _record("ForgeryRecord", "k_a ell alpha1 alpha2 beta1 beta2 c pi", __name__,
+                        "Full witness tuple of one forgery run.")
 
 
-class ClaimReport(NamedTuple):
+class ClaimReport(_record("ClaimReport", "verification_passes alpha1_is_bit "
+                                         "g_alpha1_in_gq verdict", __name__)):
     """Computed properties of a forgery, never asserted ones."""
 
-    verification_passes: bool
-    alpha1_is_bit: bool
-    g_alpha1_in_gq: bool
-    verdict: Verdict
+    __slots__ = ()
 
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
-
-    def lines(self) -> List[str]:
+    def lines(self) -> list[str]:
         return [
             f"verification_passes={_b(self.verification_passes)}",
             f"alpha1_is_bit={_b(self.alpha1_is_bit)}",
@@ -119,27 +98,15 @@ class ClaimReport(NamedTuple):
         ] + self.verdict.lines()
 
 
-class CensusRow(NamedTuple):
-    c_exp: int
-    accepting_pi_count: int
-    verdict_label: str
-
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
+CensusRow = _record("CensusRow", "c_exp accepting_pi_count verdict_label", __name__)
 
 
-class CensusResult(NamedTuple):
+class CensusResult(_record("CensusResult", "n rows accepting_pairs accepting_c_by_verdict "
+                                           "p_counts q_counts p_labels", __name__)):
     """Totals and the factor tables: c = g^e's row is (e, p_counts[e % p] *
     q_counts[e % q], p_labels[e % p]); rows is None above CENSUS_MAX_ORDER."""
 
-    n: int
-    rows: Optional[List[CensusRow]]
-    accepting_pairs: int
-    accepting_c_by_verdict: Dict[str, int]
-    p_counts: List[int]
-    q_counts: List[int]
-    p_labels: List[str]
-
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, tuple.__hash__
+    __slots__ = ()
 
     def accepting_exponents(self) -> set:
         return {row.c_exp for row in self._rows() if row.accepting_pi_count > 0}
@@ -147,7 +114,7 @@ class CensusResult(NamedTuple):
     def non_invalid_exponents(self) -> set:
         return {row.c_exp for row in self._rows() if row.verdict_label != INVALID}
 
-    def _rows(self) -> List[CensusRow]:
+    def _rows(self) -> list[CensusRow]:
         if self.rows is None:
             raise ValueError(f"census of n={self.n} > {CENSUS_MAX_ORDER} has no rows")
         return self.rows
@@ -157,8 +124,8 @@ def _b(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def forge(ck: CommitmentKey, p: int, q: int, beta1: Optional[int] = None,
-          rng: Optional[random.Random] = None) -> ForgeryRecord:
+def forge(ck: CommitmentKey, p: int, q: int, beta1: int | None = None,
+          rng: random.Random | None = None) -> ForgeryRecord:
     """Build an accepting (c, pi) pair from the factorization of n.
 
     beta1 may be pinned for reproducible records (0 gives the degenerate
@@ -211,7 +178,7 @@ def audit(q: int, ck: CommitmentKey, c: Commitment) -> Verdict:
     return Verdict(label, GElement(ctx, c_pow_q), GElement(ctx, shifted_pow_q))
 
 
-def _probe(ctx: GroupContext, q: int, c, g_inv) -> Tuple[str, object, object]:
+def _probe(ctx: GroupContext, q: int, c, g_inv) -> tuple[str, object, object]:
     """audit's rule on payloads, once the key and q are checked: the label
     of c, and the payloads of c^q and (c*g^-1)^q."""
     c_pow_q = ctx._el_pow(c, q)
@@ -270,14 +237,14 @@ def accepting_census(ctx: GroupContext, ck: CommitmentKey) -> CensusResult:
         range(n), map(mul, cycle(p_counts), cycle(q_counts)), cycle(p_labels))))
     # by the remainder theorem, each residue a mod p meets every residue mod q
     q_accepting = sum(map(bool, q_counts))
-    by_verdict: Dict[str, int] = {COMMITS_TO_0: 0, COMMITS_TO_1: 0, INVALID: 0}
+    by_verdict: dict[str, int] = {COMMITS_TO_0: 0, COMMITS_TO_1: 0, INVALID: 0}
     for count, label in zip(p_counts, p_labels):
         by_verdict[label] += q_accepting if count else 0
     return CensusResult(n, rows, sum(p_counts) * sum(q_counts), by_verdict,
                         p_counts, q_counts, p_labels)
 
 
-def _factor_counts(ctx: GroupContext, g, h, u: int, order: int) -> List[int]:
+def _factor_counts(ctx: GroupContext, g, h, u: int, order: int) -> list[int]:
     """On the factor of G of the given prime order that x -> x^u projects
     onto (u = q*(q^-1 mod p) for G_p): for each a < order, the number of
     f < order with pair(h, g_u^f) = pair(g_u^a, g_u^(a-1)), g_u = g^u. A

@@ -35,7 +35,6 @@ points (generators and parsed elements) use curve.mul_is_infinity.
 """
 
 import random
-from typing import Dict, List, Optional
 
 from . import curve
 from .arith import is_probable_prime
@@ -133,7 +132,7 @@ class GroupContext:
     g: GElement  # set by the subclass
     gt: GTElement  # pair(g, g), set or computed by the subclass
 
-    def __init__(self, n: int, p: Optional[int], q: Optional[int]):
+    def __init__(self, n: int, p: int | None, q: int | None):
         if n < 2:
             raise ValueError(f"group order must exceed 1, got {n}")
         if (p is None) != (q is None):
@@ -176,7 +175,7 @@ class TransparentContext(GroupContext):
     backend = TRANSPARENT
     _el_identity = _gt_identity = 0
 
-    def __init__(self, n: int, p: Optional[int] = None, q: Optional[int] = None):
+    def __init__(self, n: int, p: int | None = None, q: int | None = None):
         super().__init__(n, p, q)
         self.g = GElement(self, 1 % n)
         self.gt = GTElement(self, 1 % n)
@@ -225,8 +224,8 @@ class _FixedBase:
     def __init__(self):
         self.powers = 0
         self.pairings = 0
-        self.table: Optional[List[curve.Point]] = None
-        self.lines: Optional[List[Optional[curve.Line]]] = None
+        self.table: list[curve.Point] | None = None
+        self.lines: list[curve.Line | None] | None = None
 
 
 class CurveContext(GroupContext):
@@ -237,8 +236,8 @@ class CurveContext(GroupContext):
     _gt_identity = curve.F2_ONE
 
     def __init__(self, n: int, field_prime: int, cofactor: int,
-                 g_point: curve.Point, p: Optional[int] = None,
-                 q: Optional[int] = None):
+                 g_point: curve.Point, p: int | None = None,
+                 q: int | None = None):
         super().__init__(n, p, q)
         if n % 2 == 0:
             raise ValueError("curve backend needs odd n")
@@ -263,8 +262,8 @@ class CurveContext(GroupContext):
                     raise WrongOrderElement(
                         f"generator has order dividing n/{prime}, not exactly n")
         self.g = GElement(self, g_point)
-        self._gt: Optional[GTElement] = None
-        self._fixed: Dict[curve.Point, _FixedBase] = {}
+        self._gt: GTElement | None = None
+        self._fixed: dict[curve.Point, _FixedBase] = {}
         self.fix(self.g)
 
     @property
@@ -352,7 +351,7 @@ class CurveContext(GroupContext):
         return f"GT:{a[0]},{a[1]}"
 
 
-def point_from_text(text: str, field_prime: int) -> Optional[curve.Point]:
+def point_from_text(text: str, field_prime: int) -> curve.Point:
     """Parse G:<x>,<y> or G:inf with both coordinates in [0, field_prime).
 
     Syntax and range only; curve membership and order are the caller's
@@ -481,7 +480,7 @@ class BabySteps:
         self._made, self._acc = 0, base.group._el_identity  # j and a^j of the next step
         self.giant = None  # a^-width, set once all width steps are made
 
-    def _grow(self, y, stop: int) -> Optional[int]:
+    def _grow(self, y, stop: int) -> int | None:
         """Make the baby steps below stop (at most width), until one is y;
         the j of that step, or None."""
         ctx, a, table = self.base.group, self.base.value, self.table
@@ -497,7 +496,7 @@ class BabySteps:
             self.giant = ctx._el_inv(acc)
         return found
 
-    def log(self, target: GElement, bound: int) -> Optional[int]:
+    def log(self, target: GElement, bound: int) -> int | None:
         """The smallest m < bound with base^m == target, or None. Giant
         steps multiply target by base^-width until it meets the table; the
         first hit is the least m, as the table keeps the least j per

@@ -11,7 +11,6 @@ its modules, so a patched function is the one checked.
 
 import random
 import traceback
-from typing import List, Tuple
 
 from . import arith, commitment, forgery, groups
 from .commitment import BINDING, HIDING, Commitment, Opening, WIProof
@@ -194,7 +193,7 @@ CLAIMS = (
 )
 
 
-def run_selftest(seed: int = 1) -> List[Tuple[str, bool, str]]:
+def run_selftest(seed: int = 1) -> list[tuple[str, bool, str]]:
     """(check, passed, detail) for every claim at (p, q) = (5, 7) and (3, 5),
     on each backend it names, with 10 trials."""
     if not __debug__:  # python -O strips the asserts that every row is made of

@@ -2,9 +2,10 @@
 
 import math
 import random
+from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircommit import NotInvertible, ext_gcd, gen_prime, is_probable_prime, mod_inverse
@@ -107,3 +108,38 @@ class TestGenPrime:
         assert psi12 == 399165290221 * 798330580441
         assert not is_probable_prime(psi12)
         assert not is_probable_prime(psi12, rng=random.Random(1))
+
+
+PSI13 = 3317044064679887385961981
+
+
+def _primes(max_bits):
+    return st.builds(gen_prime, st.integers(2, max_bits),
+                     st.builds(random.Random, st.integers(0, 2 ** 32)))
+
+
+class TestWitnessRule:
+    """The 13 fixed witnesses decide below psi_13; an rng's witnesses are
+    tested only from psi_13 up, but drawn wherever the fixed ones pass."""
+
+    def test_psi13_is_refused_by_the_random_witnesses_alone(self):
+        """psi_13 is a strong pseudoprime to the bases 2..41: the documented
+        limit of the test without an rng."""
+        assert is_probable_prime(PSI13)
+        assert not is_probable_prime(PSI13, rng=random.Random(0))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(n=st.one_of(st.integers(0, 2 ** 64 - 1), _primes(64),
+                       st.builds(mul, _primes(32), _primes(32))),
+           seed=st.integers(0, 2 ** 32), rounds=st.sampled_from([0, 1, 7, 40]))
+    def test_an_rng_changes_no_answer_below_2_64(self, n, seed, rounds):
+        """Below 2^64 < psi_13 an rng changes no answer. It moves by `rounds`
+        draws for a prime above 47, the last small prime, and by none for
+        a composite."""
+        rng, expected = random.Random(seed), random.Random(seed)
+        prime = is_probable_prime(n)
+        assert is_probable_prime(n, rng=rng, rounds=rounds) == prime
+        if prime and n > 47:
+            for _ in range(rounds):
+                expected.randrange(2, n - 1)
+        assert rng.getstate() == expected.getstate()

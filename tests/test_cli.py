@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import paircommit
-from paircommit import commitment
+from paircommit import commitment, fileio
 from paircommit.cli import main
 from paircommit.groups import CURVE, TRANSPARENT
 
@@ -279,6 +279,38 @@ class TestParams:
         code, _, _ = run(capsys, "params", "--bits-p", "3", "--bits-q", "3",
                          "--backend", "transparent")
         assert code == 2
+
+    def test_two_bit_pair_is_refused(self, capsys, workdir):
+        """gen_prime(2) returns 3 alone, so p != q cannot be met: refused
+        before any draw, where it used to loop forever."""
+        ctx = workdir / "ctx.txt"
+        code, out, err = run(capsys, "params", "--bits-p", "2", "--bits-q", "2",
+                             "--backend", "transparent", "--seed", "1", "--out", str(ctx))
+        assert (code, out) == (2, "") and not ctx.exists()
+        assert err == ("error: --bits-p and --bits-q cannot both be 2: p and q must "
+                       "differ, and 3 is the only odd 2-bit prime\n")
+
+    # sha256 of the context file and of stdout of `params --backend curve
+    # --bits-p B --bits-q B --seed 1`
+    CURVE_PARAMS_SHA256 = {
+        "32": ("e4d0dabc7a2f1b4c5388c4961fdb6e7c2f7777de15a200f1fc7eb31e0e34d135",
+               "21387f2824aaa011e01c215af28b1d352b657d2cc0735a2f67d8651c6935f6f9"),
+        "64": ("3d8a5651ac6013a7239f8fda8507e41462065a7a5b9b142ec4dd23e87cefabc6",
+               "9220f0a2ede9ef3de2c99d6a6fa549a2b33522ab97fc5ff227685e9b8ecad8cf"),
+    }
+
+    @pytest.mark.parametrize("bits", sorted(CURVE_PARAMS_SHA256))
+    def test_curve_params_bytes(self, capsys, workdir, bits):
+        """The 64-bit field prime is above psi_13, so its search tests the
+        rng's witnesses; below psi_13 they are drawn and not tested."""
+        ctx = workdir / "ctx.txt"
+        code, out, err = run(capsys, "params", "--bits-p", bits, "--bits-q", bits,
+                             "--backend", "curve", "--seed", "1", "--out", str(ctx))
+        assert (code, err) == (0, "")
+        fprime = int(fileio.read_kv(ctx)["fprime"])
+        assert (fprime > 3317044064679887385961981) == (bits == "64")
+        assert (hashlib.sha256(ctx.read_bytes()).hexdigest(),
+                hashlib.sha256(out.encode()).hexdigest()) == self.CURVE_PARAMS_SHA256[bits]
 
     def test_seed_determinism(self, capsys, workdir):
         a = workdir / "a.txt"

@@ -1,7 +1,9 @@
 """Commitment scheme: worked traces, completeness, extraction, trapdoor, binding."""
 
 import hashlib
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -30,7 +32,7 @@ from paircommit import (
     verify,
     wi_prove,
 )
-from paircommit import fileio
+from paircommit import commitment, fileio, forgery
 from paircommit.selftest import (
     binding,
     completeness,
@@ -508,3 +510,14 @@ class TestSubgroupStructure:
     def test_binding_h_spans_gq(self, binding35):
         ck, _ = binding35
         assert is_in_subgroup_q(ck.h, 7)
+
+
+@pytest.mark.parametrize("name", ["Commitment", "WIProof", "Opening", "TrapdoorKey", "Verdict",
+                                  "ForgeryRecord", "ClaimReport", "CensusRow", "CensusResult"])
+def test_record_type_is_found_in_its_module(name):
+    """pickle finds a type by its module and name, so each record type names
+    the module that defines it, not the one whose factory made it."""
+    cls = getattr(commitment, name, None) or getattr(forgery, name)
+    assert getattr(sys.modules[cls.__module__], name) is cls
+    value = cls._make(range(len(cls._fields)))
+    assert pickle.loads(pickle.dumps(value)) == value

@@ -168,9 +168,11 @@ def test_key_digest_fixed_at_construction(t35):
 
 
 def test_cli_import_loads_no_dataclasses():
+    """Nor typing or pathlib, which a clean interpreter would import for it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(paircommit.__file__)))
-    code = "import sys, paircommit.cli; print('dataclasses' in sys.modules)"
+    code = ("import sys, paircommit.cli; "
+            "print([m for m in ('dataclasses', 'typing', 'pathlib') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
