@@ -9,6 +9,7 @@ fiddling.
 Nothing in this module is constant-time; it is desk-scale lab code.
 """
 
+import math
 import random
 from collections import namedtuple
 
@@ -58,14 +59,58 @@ def mod_inverse(a: int, n: int) -> int:
     return s % n
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable prime test of odd n > 47^2, with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1,
+    P = 1 and Q = (1 - D)/4. With base-2 Miller-Rabin it is Baillie-PSW."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False  # |d| < n shares a factor with n
+        d = -d - 2 if d > 0 else -d + 2
+    q, half = (1 - d) // 4, (n + 1) // 2
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = k * 2^s, k odd
+    k = (n + 1) >> s
+    # U_j, V_j and Q^j mod n for j the leading bits of k, from j = 1
+    u, v, qj = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qj = u * v % n, (v * v - 2 * qj) % n, qj * qj % n
+        if bit == "1":
+            u, v = (u + v) * half % n, (d * u + v) * half % n
+            qj = qj * q % n
+    # n passes if U_k = 0 or V_(k*2^r) = 0 for some r < s
+    for _ in range(s):
+        if u == 0 or v == 0:
+            return True
+        v, qj = (v * v - 2 * qj) % n, qj * qj % n
+    return False
+
+
 def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 40) -> bool:
-    """Miller-Rabin primality test.
+    """Miller-Rabin primality test, and Baillie-PSW from psi_13 up.
 
     Below 47^2 trial division by the small primes decides, and below
     psi_13 (about 3.3e24) the fixed witness set does. From psi_13 up, an
-    rng's `rounds` random witnesses are tested as well. An rng draws its
-    `rounds` witnesses whenever nothing before them refused n, tested or
-    not, because the draws fix seeded output.
+    rng's `rounds` random witnesses are tested as well, and then a strong
+    Lucas test. An rng draws its `rounds` witnesses whenever nothing
+    before them refused n, tested or not, because the draws fix seeded
+    output.
     """
     if n < 2:
         return False
@@ -76,11 +121,8 @@ def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 40
             return False
     proven = n < _SMALL_PRIMES[-1] ** 2  # no factor up to 47, so prime
     if not proven:
-        d = n - 1
-        s = 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+        d = (n - 1) >> s
 
         def witness_passes(a: int) -> bool:
             x = pow(a, d, n)
@@ -100,7 +142,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 40
             a = rng.randrange(2, n - 1)
             if not proven and not witness_passes(a):
                 return False
-    return True
+    return proven or _strong_lucas(n)
 
 
 def gen_prime(bits: int, rng: random.Random) -> int:

@@ -11,13 +11,12 @@ on the order-n subgroup.
 
 Points are affine (x, y) tuples of ints, with None for the point at
 infinity. F_fp2 elements are (a, b) tuples meaning a + b*i. `ec_add`
-is affine chord-and-tangent; `ec_mul` and the Miller loop, which walks
-the NAF digits of n, work in Jacobian coordinates (x, y) = (X/Z^2,
-Y/Z^3), Z = 0 at infinity, and pay one inversion each at the end. The
-Miller loop keeps no denominators: vertical lines and the F_fp factors
-of each line value lie in F_fp*, which the final exponent
-(fp - 1)*cofactor sends to 1. An order check, `mul_is_infinity`, is
-Montgomery's x-only ladder, with no inversion at all.
+is affine chord-and-tangent; `ec_mul` and the Miller loop work in
+Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, and
+pay one inversion each at the end. The Miller loop makes one fused,
+denominator-free step per NAF digit of n (see `tate_pairing`). An order
+check, `mul_is_infinity`, is Montgomery's x-only ladder, with no
+inversion at all.
 
 A point used again and again can bring its precomputation, which the
 caller owns and keeps: `doubling_table` gives the affine points 2^i*P,
@@ -107,38 +106,31 @@ def ec_add(fp: int, a: Point, b: Point) -> Point:
     return (x3, y3)
 
 
-def _jac_double(fp: int, x: int, y: int, z: int) -> tuple[int, ...]:
-    # 2T for T = (x : y : z); also M = 3x^2 + z^4, y^2 and z^2, from which
-    # the Miller loop builds the tangent at T. z = 0 (infinity) stays 0.
+def _jac_double(fp: int, x: int, y: int, z: int) -> tuple[int, int, int]:
+    # 2T for T = (x : y : z); z = 0 (infinity) stays 0
     yy = y * y % fp
     zz = z * z % fp
     s = 4 * x * yy % fp
     m = (3 * x * x + zz * zz) % fp
     x3 = (m * m - 2 * s) % fp
-    return x3, (m * (s - x3) - 8 * yy * yy) % fp, 2 * y * z % fp, m, yy, zz
-
-
-def _jac_add(fp: int, x: int, y: int, z: int, px: int, py: int) -> tuple[int, ...]:
-    # T + P for Jacobian T != infinity and affine P; also r = py*z^3 - y,
-    # the chord's slope times z3. z3 = 0 means T = -P, or T = P if r = 0 too.
-    zz = z * z % fp
-    h = (px * zz - x) % fp
-    r = (py * zz * z - y) % fp
-    hh = h * h % fp
-    hhh = h * hh % fp
-    v = x * hh % fp
-    x3 = (r * r - hhh - 2 * v) % fp
-    return x3, (r * (v - x3) - y * hhh) % fp, z * h % fp, r
+    return x3, (m * (s - x3) - 8 * yy * yy) % fp, 2 * y * z % fp
 
 
 def _add_affine(fp: int, x: int, y: int, z: int, px: int, py: int) -> tuple[int, int, int]:
     # T + P for Jacobian T and affine P, also when T is infinity, -P or P
     if z == 0:
         return px, py, 1
-    x3, y3, z3, r = _jac_add(fp, x, y, z, px, py)
-    if z3 or r:
-        return x3, y3, z3
-    return _jac_double(fp, x, y, z)[:3]
+    zz = z * z % fp
+    h = (px * zz - x) % fp
+    r = (py * zz * z - y) % fp
+    if h == 0:
+        # T = P doubles; T = -P gives infinity, z = 0
+        return _jac_double(fp, x, y, z) if r == 0 else (x, y, 0)
+    hh = h * h % fp
+    hhh = h * hh % fp
+    v = x * hh % fp
+    x3 = (r * r - hhh - 2 * v) % fp
+    return x3, (r * (v - x3) - y * hhh) % fp, z * h % fp
 
 
 def _affine(fp: int, x: int, y: int, z: int) -> Point:
@@ -149,14 +141,13 @@ def _affine(fp: int, x: int, y: int, z: int) -> Point:
     return (x * zinv2 % fp, y * zinv2 * zinv % fp)
 
 
-def _naf(k: int) -> list[int]:
-    """The NAF (signed binary) digits of k, least significant first."""
-    digits = []
-    while k:
-        digit = 2 - (k & 3) if k & 1 else 0
-        digits.append(digit)
-        k = (k - digit) >> 1
-    return digits
+def _naf(k: int) -> tuple[int, int]:
+    """The NAF (signed binary) digits of k as masks of its +1 and its -1
+    digits: digit i is bit i + 1 of 3k minus bit i + 1 of k, also for k < 0."""
+    xh = k >> 1
+    x3 = k + xh
+    c = xh ^ x3
+    return x3 & c, xh & c
 
 
 def _inverses(fp: int, values: list[int]) -> list[int]:
@@ -184,17 +175,21 @@ def ec_mul(fp: int, pt: Point, k: int, table: list[Point] | None = None) -> Poin
         return None
     if table is not None and k.bit_length() < len(table):
         x, y, z = 0, 1, 0
-        for digit, entry in zip(_naf(k), table):
-            if digit and entry is not None:
-                x, y, z = _add_affine(fp, x, y, z, entry[0], entry[1] * digit % fp)
+        plus, minus = _naf(k)
+        digits = plus | minus
+        while digits:
+            low = digits & -digits
+            digits ^= low
+            if (entry := table[low.bit_length() - 1]) is not None:
+                py = entry[1] if plus & low else -entry[1] % fp
+                x, y, z = _add_affine(fp, x, y, z, entry[0], py)
         return _affine(fp, x, y, z)
     if k < 0:
-        pt = ec_neg(fp, pt)
-        k = -k
+        pt, k = ec_neg(fp, pt), -k
     px, py = pt
     x, y, z = px, py, 1
     for bit in bin(k)[3:]:
-        x, y, z = _jac_double(fp, x, y, z)[:3]
+        x, y, z = _jac_double(fp, x, y, z)
         if bit == "1":
             x, y, z = _add_affine(fp, x, y, z, px, py)
     return _affine(fp, x, y, z)
@@ -205,11 +200,9 @@ def doubling_table(fp: int, pt: Point, size: int) -> list[Point]:
 
     Entries past a point of order 2^i are None, the point at infinity.
     """
-    x, y, z = (pt[0], pt[1], 1) if pt is not None else (0, 1, 0)
-    jac = [(x, y, z)]
+    jac = [(pt[0], pt[1], 1) if pt is not None else (0, 1, 0)]
     while len(jac) < size:
-        x, y, z = _jac_double(fp, x, y, z)[:3]
-        jac.append((x, y, z))
+        jac.append(_jac_double(fp, *jac[-1]))
     zinvs = _inverses(fp, [z for _, _, z in jac])
     return [(x * zinv * zinv % fp, y * zinv * zinv * zinv % fp) if zinv else None
             for (x, y, _), zinv in zip(jac, zinvs)]
@@ -285,30 +278,24 @@ def find_curve_field(n: int, bound: int = 2 ** 20,
 # ---------------------------------------------------------------------------
 # modified Tate pairing
 
-def _tangent(fp: int, x: int, y: int, z: int) -> tuple[int, ...]:
-    # 2T, then the tangent at T as (A, B, C), unreduced: its value at
-    # (-x_Q, i*y_Q) times 2*y*z^3 is (A*x_Q + B) + i*C*y_Q
-    x3, y3, z3, m, yy, zz = _jac_double(fp, x, y, z)
-    return x3, y3, z3, m * zz, m * x - 2 * yy, z3 * zz
-
-
 def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point,
                  lines: list[Line | None] | None = None) -> Fp2:
     """Reduced modified Tate pairing of two points of order dividing n.
 
-    Miller loop over the NAF digits of n on P = p_pt, in Jacobian
-    coordinates: a doubling step per digit after the top one, then an
-    addition step of +-P after a digit +-1. Each tangent and chord is
-    kept as (A, B, C), whose value at the distorted Q, (-x_Q, i*y_Q), is
-    (A*x_Q + B) + i*C*y_Q: the line times an F_fp factor, e.g. the
-    tangent at T as (M*Z^2*x_Q + M*X - 2*Y^2) + i*(2*Y*Z^3*y_Q). Vertical
-    lines, the 1/v_P of a digit -1 among them, lie in F_fp and are left
+    Miller loop on P = p_pt, one fused step per NAF digit of n after the
+    top one (Barreto, Kim, Lynn and Scott, CRYPTO 2002): square f, double
+    T in Jacobian coordinates and multiply f by the tangent at T, then
+    for a digit +-1 add S = +-P and multiply f by the chord. A line is
+    (A, B, C), whose value at the distorted Q, (-x_Q, i*y_Q), is
+    (A*x_Q + B) + i*C*y_Q: the line times an F_fp factor. Vertical lines
+    (at T == -S, and the 1/v_P of a digit -1) lie in F_fp and are left
     out, as the final exponent (fp^2 - 1)/n = (fp - 1)*cofactor kills
-    F_fp*; Frobenius is conjugation, so f^(fp-1) = conj(f)/f and only
-    the cofactor power is left.
+    F_fp*; Frobenius is conjugation, so f^(fp-1) = conj(f)/f and only the
+    cofactor power is left. The square of f is reduced only in its
+    product with the line (lazy reduction, Aranha et al., EUROCRYPT 2011).
 
-    `lines` is P's record: an empty list is filled with None for each
-    squaring of the accumulator and (A/C, B/C) for each line, normalised
+    `lines` is P's record: an empty list is filled by the same loop with
+    None for each squaring of f and (A/C, B/C) for each line, normalised
     by one batched inversion. A filled one is replayed at Q with no point
     arithmetic: a line over C*y_Q is u + i, u = A/C*x_Q/y_Q + B/C/y_Q.
 
@@ -326,49 +313,69 @@ def tate_pairing(fp: int, n: int, p_pt: Point, q_pt: Point,
             raise DegeneratePairing("a replay needs y_Q != 0")
         yinv = pow(qy, -1, fp)
         xq = qx * yinv % fp
+        prev = ()
         for line in lines:
             if line is None:
-                a, b = (a - b) * (a + b) % fp, 2 * a * b % fp
+                # a square is reduced in the next line's product, if any
+                if prev is None:
+                    a, b = a % fp, b % fp
+                a, b = (a - b) * (a + b), 2 * a * b
             else:
-                la, lb = line
-                u = (la * xq + lb * yinv) % fp
+                u = (line[0] * xq + line[1] * yinv) % fp
                 a, b = (a * u - b) % fp, (a + b * u) % fp
+            prev = line
+        a, b = a % fp, b % fp
     else:
         record = lines is not None
         px, py = p_pt
         x, y, z = px, py, 1
-        # None for a doubling step, the y of +-P for an addition step
-        steps: list[int | None] = []
-        for digit in reversed(_naf(n)[:-1]):
-            steps += [None, py * digit % fp] if digit else [None]
-        for sy in steps:
-            if sy is None:
-                a, b = (a - b) * (a + b) % fp, 2 * a * b % fp
+        plus, minus = _naf(n)
+        for digit, sign in zip(bin(plus | minus)[3:], bin(plus)[3:]):
+            a, b = (a - b) * (a + b), 2 * a * b  # f^2, reduced in f*tangent
+            if record:
+                lines.append(None)
+            if z == 0:
+                a, b = a % fp, b % fp
+            else:
+                # T = 2T, and the tangent at T times 2*y*z^3:
+                # (m*z^2*x_Q + m*x - 2*y^2) + i*(2*y*z^3*y_Q), m = 3x^2 + z^4
+                yy, zz = y * y % fp, z * z % fp
+                m, z = (3 * x * x + zz * zz) % fp, 2 * y * z % fp
                 if record:
-                    lines.append(None)
-                if z == 0:
-                    continue
-                x, y, z, la, lb, lc = _tangent(fp, x, y, z)
-            elif z == 0:
+                    lines.append((m * zz, m * x - 2 * yy, z * zz))
+                lr, li = (m * (zz * qx + x) - 2 * yy) % fp, z * zz * qy % fp
+                s = 4 * x * yy
+                x = (m * m - 2 * s) % fp
+                y = (m * (s - x) - 8 * yy * yy) % fp
+                a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
+            if digit == "0":
+                continue
+            sy = py if sign == "1" else -py % fp  # add S = (x_P, sy) = +-P
+            if z == 0:
                 x, y, z = px, sy, 1
                 continue
-            else:
-                # the chord through T and S = (x_P, sy) times z3 is
-                # r*(x_Q + x_P) - sy*z3 + i*y_Q*z3; at T = -S it is a
-                # vertical line, dropped, and T = S needs the tangent
-                x3, y3, z3, r = _jac_add(fp, x, y, z, px, sy)
-                if z3:
-                    x, y, z = x3, y3, z3
-                    la, lb, lc = r, r * px - sy * z3, z3
-                elif r == 0:
-                    x, y, z, la, lb, lc = _tangent(fp, x, y, z)
-                else:
-                    z = 0
-                    continue
+            zz = z * z % fp
+            h, r = (px * zz - x) % fp, (sy * zz * z - y) % fp
+            if h:
+                # T = T + S, and the chord through T and S times z3:
+                # r*(x_Q + x_P) - sy*z3 + i*y_Q*z3, r = sy*z^3 - y
+                hh = h * h % fp
+                hhh, v = h * hh, x * hh
+                z = z * h % fp
+                la, lb, lc = r, r * px - sy * z, z
+                x = (r * r - hhh - 2 * v) % fp
+                y = (r * (v - x) - y * hhh) % fp
+            elif r:  # T == -S: the line is vertical, dropped; T + S = infinity
+                z = 0
+                continue
+            else:  # T == S: the tangent at S, and T = 2S
+                m = 3 * px * px + 1
+                la, lb, lc = m, m * px - 2 * sy * sy, 2 * sy
+                x, y, z = _jac_double(fp, px, sy, 1)
             lr, li = (la * qx + lb) % fp, lc * qy % fp
             a, b = (a * lr - b * li) % fp, (a * li + b * lr) % fp
             if record:
-                lines.append((la, lb, lc % fp))
+                lines.append((la, lb, lc))
         if record:
             cinv = _inverses(fp, [line[2] if line else 0 for line in lines])
             lines[:] = [line and (line[0] * c % fp, line[1] * c % fp)

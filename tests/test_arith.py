@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircommit import NotInvertible, ext_gcd, gen_prime, is_probable_prime, mod_inverse
+from paircommit.arith import _strong_lucas
 
 
 class TestExtGcd:
@@ -123,10 +124,31 @@ class TestWitnessRule:
     tested only from psi_13 up, but drawn wherever the fixed ones pass."""
 
     def test_psi13_is_refused_by_the_random_witnesses_alone(self):
-        """psi_13 is a strong pseudoprime to the bases 2..41: the documented
-        limit of the test without an rng."""
-        assert is_probable_prime(PSI13)
+        """psi_13 is a strong pseudoprime to the bases 2..41; from psi_13 up
+        the strong Lucas test refuses it, with an rng or without."""
+        assert PSI13 == 1287836182261 * 2575672364521
+        assert not is_probable_prime(PSI13)
         assert not is_probable_prime(PSI13, rng=random.Random(0))
+
+    def test_strong_lucas_errs_only_on_its_pseudoprimes(self):
+        """With Selfridge's parameters the strong Lucas test, run alone on
+        the odd n from 47^2 to 120000, calls exactly the strong Lucas
+        pseudoprimes of that range (OEIS A217255) prime wrongly."""
+        composite = bytearray(120000)
+        for d in range(2, math.isqrt(len(composite)) + 1):
+            composite[d * d::d] = b"\1" * len(range(d * d, len(composite), d))
+        wrong = [n for n in range(47 ** 2 + 2, len(composite), 2)
+                 if _strong_lucas(n) == bool(composite[n])]
+        assert wrong == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                         40309, 58519, 75077, 97439, 100127, 113573, 115639]
+
+    def test_primes_above_psi13_pass(self):
+        """Mersenne primes above psi_13 pass, with and without an rng; a
+        product of two of them does not."""
+        for e in (89, 107, 127, 521):
+            assert is_probable_prime(2 ** e - 1)
+            assert is_probable_prime(2 ** e - 1, rng=random.Random(e))
+        assert not is_probable_prime((2 ** 89 - 1) * (2 ** 107 - 1))
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(n=st.one_of(st.integers(0, 2 ** 64 - 1), _primes(64),

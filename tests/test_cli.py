@@ -302,7 +302,8 @@ class TestParams:
     @pytest.mark.parametrize("bits", sorted(CURVE_PARAMS_SHA256))
     def test_curve_params_bytes(self, capsys, workdir, bits):
         """The 64-bit field prime is above psi_13, so its search tests the
-        rng's witnesses; below psi_13 they are drawn and not tested."""
+        rng's witnesses and then the strong Lucas test; below psi_13 they
+        are drawn and not tested."""
         ctx = workdir / "ctx.txt"
         code, out, err = run(capsys, "params", "--bits-p", bits, "--bits-q", bits,
                              "--backend", "curve", "--seed", "1", "--out", str(ctx))
@@ -707,6 +708,18 @@ class TestErrors:
                              "--out-secret", str(workdir / "xk.txt"), "--seed", "1")
         assert (code, out) == (2, "") and not (workdir / "ck.txt").exists()
         assert err == f"error: {ctx}: p=318665857834031151167461 is not prime\n"
+
+    def test_psi13_context_is_exit_2(self, capsys, workdir):
+        """psi_13 passes all 13 fixed witnesses; the strong Lucas test that
+        every load runs from psi_13 up refuses it."""
+        ctx = workdir / "ctx.txt"
+        ctx.write_text("backend=transparent\np=3317044064679887385961981\n"
+                       "q=3317044064679887385962123\n")
+        code, out, err = run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+                             "--out-ck", str(workdir / "ck.txt"),
+                             "--out-secret", str(workdir / "xk.txt"), "--seed", "1")
+        assert (code, out) == (2, "") and not (workdir / "ck.txt").exists()
+        assert err == f"error: {ctx}: p=3317044064679887385961981 is not prime\n"
 
     def test_curve_cofactor_failure_message(self, capsys, workdir, monkeypatch):
         import paircommit.cli as cli_mod

@@ -351,14 +351,19 @@ def test_pairing_makes_one_inversion_and_no_affine_steps(monkeypatch, c35):
     assert (len(inv), len(add), len(mul)) == (1, 0, 0)
 
 
-def test_pairing_adds_once_per_nonzero_naf_digit(monkeypatch, case):
+def test_pairing_adds_once_per_nonzero_naf_digit(case):
     """On a point of order n the Miller loop doubles once per NAF digit of
-    n after the top one and adds once per nonzero digit after it."""
+    n after the top one and adds once per nonzero digit after it. Its
+    record, which the walk fills as it goes, shows each step: per digit a
+    None and the tangent, then the chord of a nonzero digit, but the last,
+    whose line is vertical."""
     ctx, points, _, _ = case
-    digits = _naf(ctx.n)
-    adds, doubles = (_count(monkeypatch, curve, name) for name in ("_jac_add", "_jac_double"))
-    tate_pairing(ctx.field_prime, ctx.n, ctx.g.value, points[5])
-    assert (len(adds), len(doubles)) == (len(digits) - digits.count(0) - 1, len(digits) - 1)
+    steps = []
+    for digit in _naf(ctx.n)[1:]:
+        steps += ["square", "line"] + (["line"] if digit else [])
+    lines = []
+    tate_pairing(ctx.field_prime, ctx.n, ctx.g.value, points[5], lines)
+    assert ["square" if line is None else "line" for line in lines] == steps[:-1]
 
 
 def test_recorded_lines_have_two_coefficients(case):
@@ -372,6 +377,17 @@ def test_recorded_lines_have_two_coefficients(case):
     assert len(lines) - len(kept) == len(digits) - 1
     assert len(kept) == (len(digits) - 1) + (len(digits) - digits.count(0) - 1) - 1
     assert all(len(line) == 2 and all(0 <= c < fp for c in line) for line in kept)
+
+
+def test_naf_masks_match_the_digits():
+    """curve._naf(k) marks the +1 and -1 digits of k's NAF, and swaps
+    them for -k."""
+    rng = random.Random(130)
+    for k in list(range(5000)) + [rng.getrandbits(130) for _ in range(2000)]:
+        plus, minus = curve._naf(k)
+        digits = _naf(k)[::-1]
+        assert [(plus >> i & 1) - (minus >> i & 1) for i in range(len(digits))] == digits
+        assert (plus | minus) >> len(digits) == 0 and curve._naf(-k) == (minus, plus)
 
 
 def test_order_checks_walk_no_scalar_multiple(monkeypatch, c35):
@@ -410,14 +426,17 @@ def test_table_power_makes_no_doublings(monkeypatch, case):
 
 
 def test_replayed_pairing_makes_no_point_arithmetic(monkeypatch, case):
+    """A replay reads the record alone: handed -g with g's record, it
+    returns g's pairing, leaves the record as it was and inverts once."""
     ctx, points, _, _ = case
     fp, n = ctx.field_prime, ctx.n
     lines = []
     tate_pairing(fp, n, ctx.g.value, points[5], lines)
-    steps = [_count(monkeypatch, curve, name) for name in ("_jac_double", "_jac_add")]
+    record = list(lines)
     inv = _count(monkeypatch, curve, "f2_inv")
-    tate_pairing(fp, n, ctx.g.value, points[6], lines)
-    assert steps == [[], []] and len(inv) == 1
+    assert tate_pairing(fp, n, ec_neg(fp, ctx.g.value), points[6], lines) == \
+        reference_tate_pairing(fp, n, ctx.g.value, points[6])
+    assert lines == record and len(inv) == 1
 
 
 def test_signed_exponent_costs_no_doublings(monkeypatch, c35):
@@ -432,20 +451,25 @@ def test_signed_exponent_costs_no_doublings(monkeypatch, c35):
 @pytest.mark.parametrize("case", [16, 32], indirect=True, ids=lambda b: f"{b}-bit")
 def test_warm_key_protocol_op_counts(monkeypatch, case):
     """Once a key's tables and lines exist, commit and wi_prove make no
-    doublings and verify walks the Miller loop only for pair(c, c*g^-1)."""
+    doublings and verify walks the Miller loop only for pair(c, c*g^-1):
+    pair(h, pi) replays h's record."""
     ctx, _, _, rng = case
-    fp, n = ctx.field_prime, ctx.n
     ck, _ = binding_key_from_exponent(ctx, rng.randrange(1, ctx.q))
-    m, r = 1, rng.randrange(n)
+    m, r = 1, rng.randrange(ctx.n)
     for _ in range(2):
         com, proof = commit(ck, m, r), wi_prove(ck, m, r)
         assert verify(ck, com, proof)
     doubles = _count(monkeypatch, curve, "_jac_double")
     assert commit(ck, m, r) == com and wi_prove(ck, m, r) == proof
     assert doubles == []
-    shifted = com.c * ctx.g.inverse()
-    tate_pairing(fp, n, com.c.value, shifted.value)
-    walk = len(doubles)
-    doubles.clear()
+    # a pairing is a replay if it is handed a filled record, a walk if not
+    pairings = []
+    original = curve.tate_pairing
+
+    def counted(fp, n, p_pt, q_pt, lines=None):
+        pairings.append(("replay" if lines else "walk", p_pt))
+        return original(fp, n, p_pt, q_pt, lines)
+
+    monkeypatch.setattr(curve, "tate_pairing", counted)
     assert verify(ck, com, proof)
-    assert len(doubles) == walk
+    assert pairings == [("walk", com.c.value), ("replay", ck.h.value)]
