@@ -24,6 +24,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI13 = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+RNG_WITNESSES = 40  # random witnesses an rng draws; the draws fix seeded output
 
 
 def ext_gcd(a: int, b: int) -> ExtGcdResult:
@@ -53,10 +54,10 @@ def mod_inverse(a: int, n: int) -> int:
     """Inverse of a mod n, in [1, n). Raises NotInvertible carrying the gcd."""
     if n <= 1:
         raise ValueError(f"modulus must exceed 1, got {n}")
-    g, s, _ = ext_gcd(a % n, n)
-    if g != 1:
-        raise NotInvertible(a, n, g)
-    return s % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise NotInvertible(a, n, math.gcd(a, n)) from None
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -102,15 +103,14 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 40) -> bool:
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test, and Baillie-PSW from psi_13 up.
 
     Below 47^2 trial division by the small primes decides, and below
     psi_13 (about 3.3e24) the fixed witness set does. From psi_13 up, an
-    rng's `rounds` random witnesses are tested as well, and then a strong
-    Lucas test. An rng draws its `rounds` witnesses whenever nothing
-    before them refused n, tested or not, because the draws fix seeded
-    output.
+    rng's RNG_WITNESSES random witnesses are tested as well, and then a
+    strong Lucas test. An rng draws its witnesses whenever nothing before
+    them refused n, tested or not, because the draws fix seeded output.
     """
     if n < 2:
         return False
@@ -138,7 +138,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None, rounds: int = 40
             return False
         proven = n < _PSI13
     if rng is not None:
-        for _ in range(rounds):
+        for _ in range(RNG_WITNESSES):
             a = rng.randrange(2, n - 1)
             if not proven and not witness_passes(a):
                 return False

@@ -15,8 +15,9 @@ pi = (g^(2m-1) h^r)^r, accepted iff e(c, c*g^-1) = e(h, pi).
 import hashlib
 import random
 from collections import namedtuple
+from math import gcd
 
-from .arith import ext_gcd, mod_inverse
+from .arith import mod_inverse
 from .errors import InvalidKey, KeyMismatch, NotExtractable
 from .groups import (
     CURVE,
@@ -162,7 +163,7 @@ def hiding_key_from_exponent(ctx: GroupContext, x: int) -> tuple[CommitmentKey, 
     _, q = _require_factorization(ctx)
     if not 1 <= x < q:
         raise ValueError(f"x must lie in [1, {q}), got {x}")
-    if ext_gcd(x, ctx.n).g != 1:
+    if gcd(x, ctx.n) != 1:
         raise ValueError(f"x={x} shares a factor with n={ctx.n}")
     h = ctx.g ** x
     ck = CommitmentKey(ctx, h, HIDING)
@@ -186,7 +187,7 @@ def hiding_keygen(ctx: GroupContext, rng: random.Random) -> tuple[CommitmentKey,
     _, q = _require_factorization(ctx)
     while True:
         x = rng.randrange(1, q)
-        if ext_gcd(x, ctx.n).g == 1:
+        if gcd(x, ctx.n) == 1:
             return hiding_key_from_exponent(ctx, x)
 
 

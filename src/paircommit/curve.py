@@ -40,6 +40,8 @@ Line = tuple[int, int]
 F2_ONE: Fp2 = (1, 0)
 F2_ZERO: Fp2 = (0, 0)
 
+COFACTOR_BOUND = 2 ** 20  # the largest cofactor find_curve_field tries
+
 
 # ---------------------------------------------------------------------------
 # quadratic extension F_fp(i), i^2 = -1
@@ -239,8 +241,6 @@ def mul_is_infinity(fp: int, pt: Point, k: int) -> bool:
 def sqrt_mod(fp: int, a: int) -> int | None:
     """Square root mod fp for fp = 3 (mod 4); None if a is a non-residue."""
     a %= fp
-    if a == 0:
-        return 0
     r = pow(a, (fp + 1) // 4, fp)
     if r * r % fp != a:
         return None
@@ -260,18 +260,17 @@ def random_point(fp: int, rng: random.Random) -> Point:
         return (x, y) if rng.getrandbits(1) else (x, -y % fp)
 
 
-def find_curve_field(n: int, bound: int = 2 ** 20,
-                     rng: random.Random | None = None) -> tuple[int, int]:
-    """Smallest even cofactor c >= 2 with c*n - 1 prime and = 3 (mod 4).
+def find_curve_field(n: int, rng: random.Random) -> tuple[int, int]:
+    """Smallest even cofactor c <= COFACTOR_BOUND with c*n - 1 prime and = 3 (mod 4).
 
     Returns (cofactor, field prime). fp must be odd, hence even cofactors only.
     """
-    for cof in range(2, bound + 1, 2):
+    for cof in range(2, COFACTOR_BOUND + 1, 2):
         fp = cof * n - 1
         if fp % 4 == 3 and is_probable_prime(fp, rng=rng):
             return cof, fp
     raise ValueError(
-        f"no suitable field prime with cofactor <= {bound} for n={n}; "
+        f"no suitable field prime with cofactor <= {COFACTOR_BOUND} for n={n}; "
         "try a different prime pair")
 
 

@@ -14,10 +14,10 @@ prime) with a symmetric bilinear map pair: G x G -> G_T.
 Both backends define the same payload operations, and any protocol
 decision (accept/reject) must come out identically on both for the same
 (p, q, exponent) inputs. GElement and GTElement share one base. The
-operations have one spelling: a * b, a ** e and a.inverse() in G and
-G_T, and pair(a, b); g_pow is the traced body of a ** e. Contexts compare
-with ==. Mixing two contexts raises ContextMismatch, and mixing G with
-G_T raises TypeError.
+operations have one spelling: a * b and a ** e in G and G_T, a.inverse()
+in G alone, and pair(a, b); g_pow is the traced body of a ** e. Contexts
+compare with ==. Mixing two contexts raises ContextMismatch, and mixing
+G with G_T raises TypeError.
 
 A context may know the factorization of n (built by setup_*) or not
 (rebuilt from public key material); operations that need p or q take
@@ -107,9 +107,6 @@ class GTElement(_Element):
     def __pow__(self, e: int) -> "GTElement":
         return GTElement(self.group, self.group._gt_pow(self.value, e))
 
-    def inverse(self) -> "GTElement":
-        return GTElement(self.group, self.group._gt_inv(self.value))
-
     def is_identity(self) -> bool:
         return self.value == self.group._gt_identity
 
@@ -124,8 +121,8 @@ class GroupContext:
     A backend sets g and gt, and defines __eq__ (true for the same group;
     __hash__ is set again beside it), the class constants _el_identity
     and _gt_identity, and the payload operations _el_mul, _el_inv,
-    _el_pow, _gt_mul, _gt_inv, _gt_pow, _pair, _el_to_text, _el_from_text
-    and _gt_to_text.
+    _el_pow, _gt_mul, _gt_pow, _pair, _el_to_text, _el_from_text and
+    _gt_to_text.
     """
 
     backend: str = ""
@@ -194,7 +191,7 @@ class TransparentContext(GroupContext):
     def _el_pow(self, a, e):
         return a * (e % self.n) % self.n
 
-    _gt_mul, _gt_inv, _gt_pow = _el_mul, _el_inv, _el_pow
+    _gt_mul, _gt_pow = _el_mul, _el_pow
 
     def _pair(self, a, b):
         return a * b % self.n
@@ -308,9 +305,6 @@ class CurveContext(GroupContext):
     def _gt_mul(self, a, b):
         return curve.f2_mul(self.field_prime, a, b)
 
-    def _gt_inv(self, a):
-        return curve.f2_inv(self.field_prime, a)
-
     def _gt_pow(self, a, e):
         return curve.f2_pow(self.field_prime, a, e % self.n)
 
@@ -395,8 +389,7 @@ def setup_transparent(p: int, q: int) -> TransparentContext:
     return TransparentContext(p * q, p, q)
 
 
-def setup_curve(p: int, q: int, rng: random.Random,
-                cofactor_bound: int = 2 ** 20) -> CurveContext:
+def setup_curve(p: int, q: int, rng: random.Random) -> CurveContext:
     """Curve-backed group of order n = p*q.
 
     Searches the smallest even cofactor c with fp = c*n - 1 prime and
@@ -409,7 +402,7 @@ def setup_curve(p: int, q: int, rng: random.Random,
     n = p * q
     if n % 2 == 0:
         raise ValueError("curve backend needs p*q odd")
-    cofactor, fp = curve.find_curve_field(n, cofactor_bound, rng=rng)
+    cofactor, fp = curve.find_curve_field(n, rng)
     while True:
         g_point = curve.ec_mul(fp, curve.random_point(fp, rng), cofactor)
         if g_point is None:

@@ -13,7 +13,7 @@ import random
 import traceback
 
 from . import arith, commitment, forgery, groups
-from .commitment import BINDING, HIDING, Commitment, Opening, WIProof
+from .commitment import Commitment, Opening, WIProof
 from .forgery import COMMITS_TO_0, COMMITS_TO_1, INVALID
 from .groups import CURVE, TRANSPARENT, pair
 
@@ -61,9 +61,8 @@ def gq_membership(ctx, rng, trials):
     assert members == set(range(0, ctx.n, ctx.p))
 
 
-def completeness(ctx, rng, trials, modes=(BINDING, HIDING)):
-    for mode in modes:
-        keygen = commitment.binding_keygen if mode == BINDING else commitment.hiding_keygen
+def completeness(ctx, rng, trials):
+    for keygen in (commitment.binding_keygen, commitment.hiding_keygen):
         ck = keygen(ctx, rng)[0]
         for _ in range(trials):
             m, r = rng.randrange(2), rng.randrange(ctx.n)
@@ -193,7 +192,7 @@ CLAIMS = (
 )
 
 
-def run_selftest(seed: int = 1) -> list[tuple[str, bool, str]]:
+def run_selftest(seed: int) -> list[tuple[str, bool, str]]:
     """(check, passed, detail) for every claim at (p, q) = (5, 7) and (3, 5),
     on each backend it names, with 10 trials."""
     if not __debug__:  # python -O strips the asserts that every row is made of

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircommit import NotInvertible, ext_gcd, gen_prime, is_probable_prime, mod_inverse
-from paircommit.arith import _strong_lucas
+from paircommit.arith import RNG_WITNESSES, _strong_lucas
 
 
 class TestExtGcd:
@@ -84,7 +84,7 @@ class TestGenPrime:
     def test_probable_prime_agrees_with_trial_division(self, rng):
         for n in range(2, 2000):
             by_trial = all(n % d for d in range(2, int(n ** 0.5) + 1))
-            assert is_probable_prime(n, rng=rng, rounds=5) == by_trial
+            assert is_probable_prime(n, rng=rng) == by_trial
 
     @pytest.mark.parametrize("seeded", [False, True])
     def test_agrees_with_trial_division_below_20000(self, seeded):
@@ -95,10 +95,10 @@ class TestGenPrime:
 
     def test_small_prime_still_draws_its_witnesses(self):
         """Below 47^2 the answer needs no witness, but the rng must move as
-        if `rounds` witnesses were drawn: the draws fix seeded output."""
+        if RNG_WITNESSES witnesses were drawn: the draws fix seeded output."""
         rng, expected = random.Random(9), random.Random(9)
-        assert is_probable_prime(2203, rng=rng, rounds=7)
-        for _ in range(7):
+        assert is_probable_prime(2203, rng=rng)
+        for _ in range(RNG_WITNESSES):
             expected.randrange(2, 2202)
         assert rng.getstate() == expected.getstate()
 
@@ -153,15 +153,15 @@ class TestWitnessRule:
     @settings(derandomize=True, deadline=None, database=None, max_examples=300)
     @given(n=st.one_of(st.integers(0, 2 ** 64 - 1), _primes(64),
                        st.builds(mul, _primes(32), _primes(32))),
-           seed=st.integers(0, 2 ** 32), rounds=st.sampled_from([0, 1, 7, 40]))
-    def test_an_rng_changes_no_answer_below_2_64(self, n, seed, rounds):
-        """Below 2^64 < psi_13 an rng changes no answer. It moves by `rounds`
-        draws for a prime above 47, the last small prime, and by none for
-        a composite."""
+           seed=st.integers(0, 2 ** 32))
+    def test_an_rng_changes_no_answer_below_2_64(self, n, seed):
+        """Below 2^64 < psi_13 an rng changes no answer. It moves by
+        RNG_WITNESSES draws for a prime above 47, the last small prime, and
+        by none for a composite."""
         rng, expected = random.Random(seed), random.Random(seed)
         prime = is_probable_prime(n)
-        assert is_probable_prime(n, rng=rng, rounds=rounds) == prime
+        assert is_probable_prime(n, rng=rng) == prime
         if prime and n > 47:
-            for _ in range(rounds):
+            for _ in range(RNG_WITNESSES):
                 expected.randrange(2, n - 1)
         assert rng.getstate() == expected.getstate()

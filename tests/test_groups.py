@@ -19,7 +19,7 @@ from paircommit import (
     setup_transparent,
     wi_prove,
 )
-from paircommit import groups
+from paircommit import curve, groups
 from paircommit.curve import ec_mul, is_on_curve, random_point
 from paircommit.selftest import gq_membership, nondegeneracy, pairing_laws
 
@@ -69,9 +69,10 @@ class TestCurveSetup:
         with pytest.raises(ValueError):
             setup_curve(7, 5, rng)
 
-    def test_cofactor_bound_exhaustion(self, rng):
+    def test_cofactor_bound_exhaustion(self, rng, monkeypatch):
+        monkeypatch.setattr(curve, "COFACTOR_BOUND", 2)
         with pytest.raises(ValueError):
-            setup_curve(5, 7, rng, cofactor_bound=2)
+            setup_curve(5, 7, rng)
 
 
 class TestOperations:
