@@ -12,9 +12,10 @@ on the order-n subgroup.
 Points are affine (x, y) tuples of ints, with None for the point at
 infinity. F_fp2 elements are (a, b) tuples meaning a + b*i. `ec_add`
 is affine chord-and-tangent; `ec_mul` and the Miller loop work in
-Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, and
-pay one inversion each at the end. The Miller loop makes one fused,
-denominator-free step per NAF digit of n (see `tate_pairing`). An order
+Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, walk
+the NAF digits of their exponent, and pay one inversion each at the
+end. The Miller loop makes one fused, denominator-free step per digit
+(see `tate_pairing`). An order
 check, `mul_is_infinity`, is Montgomery's x-only ladder, with no
 inversion at all.
 
@@ -171,7 +172,9 @@ def ec_mul(fp: int, pt: Point, k: int, table: list[Point] | None = None) -> Poin
 
     Given table = doubling_table(fp, pt, size) and |k| < 2^(size - 1), the
     NAF digits of k pick +-2^i*pt from the table, and the power is only
-    mixed additions. Otherwise it is Jacobian double-and-add.
+    mixed additions. Otherwise it doubles once per NAF digit of |k| after
+    the top one and adds +-pt at each nonzero digit, as the Miller loop
+    walks n.
     """
     if pt is None or k == 0:
         return None
@@ -189,11 +192,13 @@ def ec_mul(fp: int, pt: Point, k: int, table: list[Point] | None = None) -> Poin
     if k < 0:
         pt, k = ec_neg(fp, pt), -k
     px, py = pt
-    x, y, z = px, py, 1
-    for bit in bin(k)[3:]:
+    neg_py = -py % fp
+    x, y, z = px, py, 1  # the top NAF digit, +1
+    plus, minus = _naf(k)
+    for digit, sign in zip(bin(plus | minus)[3:], bin(plus)[3:]):
         x, y, z = _jac_double(fp, x, y, z)
-        if bit == "1":
-            x, y, z = _add_affine(fp, x, y, z, px, py)
+        if digit == "1":
+            x, y, z = _add_affine(fp, x, y, z, px, py if sign == "1" else neg_py)
     return _affine(fp, x, y, z)
 
 

@@ -200,6 +200,18 @@ def test_ec_mul_matches_reference(case):
             assert ec_mul(fp, pt, k) == reference_ec_mul(fp, pt, k), (pt, k)
 
 
+def test_naf_powers_match_reference_at_300_exponents(case):
+    """An untabled power walks the NAF digits of its exponent: 300 random
+    exponents of either sign agree with the oracle, on g and on a
+    whole-curve point."""
+    ctx = case[0]
+    fp, n = ctx.field_prime, ctx.n
+    rng = random.Random(n)
+    for pt in (ctx.g.value, random_point(fp, rng)):
+        for k in (rng.randrange(-n, n) for _ in range(300)):
+            assert ec_mul(fp, pt, k) == reference_ec_mul(fp, pt, k), (pt, k)
+
+
 def test_tate_pairing_matches_reference(case):
     ctx, points, _, rng = case
     fp, n = ctx.field_prime, ctx.n
