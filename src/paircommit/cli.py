@@ -6,7 +6,8 @@ inspectable and diffable. A --seed pins the Mersenne Twister rng
 (random.Random) and makes outputs byte-identical across runs.
 
 Exit codes: 0 success / proof accepted, 1 proof rejected or selftest
-failure, 2 malformed input or usage error.
+failure, 2 malformed input or usage error, 3 an unexpected error (a fault
+of the program, never a reject).
 
 A call makes the argument parser of its own command alone; help and
 usage errors read as from the parser with every command.
@@ -273,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PairCommitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program must not read as exit 1, a reject
+        print(f"error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

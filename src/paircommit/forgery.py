@@ -58,6 +58,9 @@ COMMITS_TO_1 = "CommitsTo1"
 INVALID = "Invalid"
 
 CENSUS_MAX_ORDER = 2 ** 12
+# the largest p + q a census takes: it makes 2(p + q) pairings and keeps p + q
+# powers, about 14 s and 28 MB on the curve just below the cap
+CENSUS_MAX_P_PLUS_Q = 2 ** 16
 
 
 class Verdict(_record("Verdict", "label c_pow_q c_over_g_pow_q", __name__)):
@@ -220,13 +223,17 @@ def accepting_census(ctx: GroupContext, ck: CommitmentKey) -> CensusResult:
     verify's pair(c, c*g^-1) = pair(h, pi) holds iff it holds on G_p and on
     G_q, as a pairing across the two is 1. So c = g^e accepts
     p_counts[e % p] * q_counts[e % q] proofs, and audit labels it by e mod
-    p: 2(p + q) pairings, where a join over all of G makes 2n.
+    p: 2(p + q) pairings, where a join over all of G makes 2n. Above
+    p + q = CENSUS_MAX_P_PLUS_Q it raises ValueError before any pairing.
     """
     if not ctx.knows_factorization:
         raise ValueError("census needs a context that knows p and q")
     if ck.context != ctx:
         raise KeyMismatch("key does not live on the given context")
     n, p, q = ctx.n, ctx.p, ctx.q
+    if p + q > CENSUS_MAX_P_PLUS_Q:
+        raise ValueError(f"census refused: p + q = {p + q} is above {CENSUS_MAX_P_PLUS_Q}, "
+                         f"and the census would make {2 * (p + q)} pairings")
     g, h = ctx.g.value, ck.h.value
     p_counts = _factor_counts(ctx, g, h, q * mod_inverse(q, p), p)
     q_counts = _factor_counts(ctx, g, h, p * mod_inverse(p, q), q)

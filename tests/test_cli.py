@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import paircommit
-from paircommit import commitment, fileio
+from paircommit import commitment, fileio, forgery
 from paircommit.cli import main
 from paircommit.groups import CURVE, TRANSPARENT
 
@@ -741,6 +741,47 @@ class TestErrors:
                              "--out", str(workdir / "c.txt"))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {ck}: byte ")
+
+    def test_unexpected_exception_is_exit_3_not_a_reject(self, capsys, workdir, monkeypatch):
+        """An exception no handler expects exits 3 with one error line that
+        names its type; exit 1 would read as a rejected proof."""
+        ctx, _ = _make_params(capsys, workdir)
+        ck, xk, c, op, pi = (workdir / f"{name}.txt" for name in ("ck", "xk", "c", "op", "pi"))
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2",
+            "--out", str(c), "--out-opening", str(op))
+        run(capsys, "prove", "--ck", str(ck), "--opening", str(op), "--out", str(pi))
+
+        def broken(*args):
+            raise TypeError("a fault in verify")
+
+        monkeypatch.setattr(paircommit.cli, "verify", broken)
+        code, out, err = run(capsys, "verify", "--ck", str(ck),
+                             "--commitment", str(c), "--proof", str(pi))
+        assert (code, out) == (3, "")
+        assert err == "error: TypeError('a fault in verify')\n"
+
+    def test_census_above_the_cap_is_refused_before_any_pairing(self, capsys, workdir,
+                                                                monkeypatch):
+        """At p = 3,203,503 and q = 12,812,777 the census would make 2(p + q)
+        pairings and keep p + q powers; it exits 2 before the first."""
+        ctx, ck, xk, table = (workdir / f"{name}.txt" for name in ("ctx", "ck", "xk", "census"))
+        code, out, _ = run(capsys, "params", "--backend", "transparent", "--bits-p", "22",
+                           "--bits-q", "24", "--seed", "1", "--out", str(ctx))
+        assert code == 0 and "p=3203503\nq=12812777\n" in out
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "1")
+
+        def counted(*args):
+            raise AssertionError("the census made a pairing")
+
+        monkeypatch.setattr(forgery, "_factor_counts", counted)
+        code, out, err = run(capsys, "census", "--ck", str(ck), "--secret", str(xk),
+                             "--out", str(table))
+        assert (code, out) == (2, "") and not table.exists()
+        assert err == ("error: census refused: p + q = 16016280 is above 65536, "
+                       "and the census would make 32032560 pairings\n")
 
     def test_mismatched_secret_and_key(self, capsys, workdir):
         ctx, _ = _make_params(capsys, workdir)
