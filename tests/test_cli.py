@@ -290,6 +290,13 @@ class TestParams:
         assert err == ("error: --bits-p and --bits-q cannot both be 2: p and q must "
                        "differ, and 3 is the only odd 2-bit prime\n")
 
+    def test_prime_above_64_bits_is_refused(self, capsys, workdir):
+        ctx = workdir / "ctx.txt"
+        code, out, err = run(capsys, "params", "--bits-p", "65", "--bits-q", "8",
+                             "--backend", "transparent", "--seed", "1", "--out", str(ctx))
+        assert (code, out) == (2, "") and not ctx.exists()
+        assert err == "error: --bits-p must lie in [2, 64], got 65\n"
+
     # sha256 of the context file and of stdout of `params --backend curve
     # --bits-p B --bits-q B --seed 1`
     CURVE_PARAMS_SHA256 = {

@@ -85,6 +85,12 @@ class TestKeygen:
         with pytest.raises(ValueError):
             hiding_key_from_exponent(t35, 5)
 
+    @pytest.mark.parametrize("keygen", [binding_key_from_exponent, hiding_key_from_exponent],
+                             ids=["binding", "hiding"])
+    def test_pinned_x_outside_1_to_q(self, t35, keygen):
+        with pytest.raises(ValueError, match=r"x must lie in \[1, 7\), got 8"):
+            keygen(t35, 8)
+
     def test_keygen_needs_factorization(self, rng):
         from paircommit import TransparentContext
         public = TransparentContext(35)
@@ -460,6 +466,14 @@ class TestVerify:
         c = commit(ck_b, 1, 2)
         pi = wi_prove(ck_h, 1, 2)
         with pytest.raises(KeyMismatch):
+            verify(ck_b, c, pi)
+
+    def test_commitment_under_another_key_rejected(self, binding35, hiding35):
+        ck_b, _ = binding35
+        ck_h, _ = hiding35
+        c = commit(ck_h, 1, 2)
+        pi = wi_prove(ck_b, 1, 2)
+        with pytest.raises(KeyMismatch, match="commitment was made under a different key"):
             verify(ck_b, c, pi)
 
 

@@ -9,6 +9,7 @@ from paircommit import (
     OffCurvePoint,
     Opening,
     SecretKeyMismatch,
+    TransparentContext,
     binding_key_from_exponent,
     commit,
     forge,
@@ -107,6 +108,12 @@ class TestContextFiles:
         path.write_text("backend=quantum\np=5\nq=7\n")
         with pytest.raises(MalformedText):
             fileio.load_context(path)
+
+    def test_context_without_factorization_not_saved(self, tmp_path):
+        path = tmp_path / "ctx.txt"
+        with pytest.raises(ValueError, match="context file needs the factorization"):
+            fileio.save_context(path, TransparentContext(35))
+        assert not path.exists()
 
     def test_strong_pseudoprime_p_is_refused(self, tmp_path):
         # psi_12, a strong pseudoprime to the bases 2..37, and the next prime
@@ -216,6 +223,22 @@ class TestArtifactFiles:
         fileio.save_commitment(path, com, ck)
         with pytest.raises(MalformedText):
             fileio.load_commitment(path, other)
+
+    def test_commitment_of_another_order_rejected(self, tmp_path, t35):
+        ck, _ = binding_key_from_exponent(t35, 3)
+        path = tmp_path / "c.txt"
+        fileio.save_commitment(path, commit(ck, 1, 2), ck)
+        _replace_field(path, "n", "15")
+        with pytest.raises(MalformedText, match="group order 15 does not match the key's 35"):
+            fileio.load_commitment(path, ck)
+
+    def test_extraction_key_naming_the_smaller_prime_rejected(self, tmp_path, t35):
+        _, xk = binding_key_from_exponent(t35, 3)
+        path = tmp_path / "xk.txt"
+        fileio.save_extraction_key(path, xk)
+        _replace_field(path, "q", "5")
+        with pytest.raises(MalformedText, match="q=5 is not the larger prime factor"):
+            fileio.load_extraction_key(path)
 
     def test_opening_roundtrip(self, tmp_path):
         path = tmp_path / "op.txt"

@@ -15,6 +15,8 @@ from paircommit import (
     CommitmentKey,
     ContextMismatch,
     INVALID,
+    KeyMismatch,
+    TransparentContext,
     accepting_census,
     audit,
     binding_key_from_exponent,
@@ -153,6 +155,11 @@ class TestAudit:
         with pytest.raises(ContextMismatch):
             audit(7, ck, Commitment(t35.g, key_fingerprint(ck)))
 
+    def test_q_not_dividing_n_rejected(self, binding35):
+        ck, _ = binding35
+        with pytest.raises(ValueError, match="q=4 does not divide the group order 35"):
+            audit(4, ck, commit(ck, 1, 2))
+
     @pytest.mark.parametrize("backend", ["transparent", "curve"])
     def test_verdict_carries_its_probes(self, t35, c35, backend):
         ctx = t35 if backend == "transparent" else c35
@@ -198,7 +205,25 @@ class TestClaimReport:
         assert "audit_verdict=CommitsTo1" in lines
 
 
+    def test_wrong_factorization_rejected(self, binding35):
+        ck, _ = binding35
+        rec = forge(ck, 5, 7, beta1=2)
+        with pytest.raises(ValueError, match=r"3\*7 is not the group order 35"):
+            claim_report(rec, ck, 3, 7)
+
+
 class TestCensus:
+    def test_needs_the_factorization(self):
+        public = TransparentContext(35)
+        ck = CommitmentKey(public, public.g ** 15, BINDING)
+        with pytest.raises(ValueError, match="census needs a context that knows p and q"):
+            accepting_census(public, ck)
+
+    def test_key_from_another_context_rejected(self, t15, t35):
+        ck, _ = binding_key_from_exponent(t15, 1)
+        with pytest.raises(KeyMismatch, match="key does not live on the given context"):
+            accepting_census(t35, ck)
+
     def test_worked_example_n15(self, t15):
         """Exhaustive 15x15 brute force at (3,5), h = g^3."""
         ck, _ = binding_key_from_exponent(t15, 1)

@@ -6,8 +6,10 @@ import pytest
 
 from paircommit import (
     ContextMismatch,
+    CurveContext,
     MalformedText,
     OffCurvePoint,
+    TransparentContext,
     WrongOrderElement,
     audit,
     binding_key_from_exponent,
@@ -73,6 +75,51 @@ class TestCurveSetup:
         monkeypatch.setattr(curve, "COFACTOR_BOUND", 2)
         with pytest.raises(ValueError):
             setup_curve(5, 7, rng)
+
+
+class TestConstructorChecks:
+    """Each check of a context's constructor and of setup_curve refuses an
+    input that no check before or after it would."""
+
+    def test_order_below_two(self):
+        with pytest.raises(ValueError, match="group order must exceed 1"):
+            TransparentContext(1)
+
+    def test_one_prime_without_the_other(self):
+        with pytest.raises(ValueError, match="give both primes or neither"):
+            TransparentContext(35, 5, None)
+
+    def test_primes_whose_product_is_not_n(self):
+        with pytest.raises(ValueError, match=r"n=35 is not 3\*7"):
+            TransparentContext(35, 3, 7)
+
+    def test_field_prime_not_3_mod_4(self):
+        fp = 349  # prime, 10*35 - 1 and 1 mod 4
+        g = next((x, y) for x in range(1, fp) for y in range(1, fp)
+                 if (y * y - x ** 3 - x) % fp == 0)
+        with pytest.raises(ValueError, match="is not 3 mod 4"):
+            CurveContext(35, fp, 10, g)
+
+    def test_generator_at_infinity(self, c35):
+        with pytest.raises(ValueError, match="must not be the point at infinity"):
+            CurveContext(c35.n, c35.field_prime, c35.cofactor, None)
+
+    def test_generator_outside_the_order_n_subgroup(self, c35):
+        fp, rng = c35.field_prime, random.Random(1)
+        g = random_point(fp, rng)
+        while curve.mul_is_infinity(fp, g, c35.n):
+            g = random_point(fp, rng)
+        with pytest.raises(WrongOrderElement, match="generator order does not divide"):
+            CurveContext(c35.n, fp, c35.cofactor, g)
+
+    @pytest.mark.parametrize("p, q", [(9, 11), (5, 9)], ids=["p", "q"])
+    def test_composite_refused_before_the_field_search(self, p, q, monkeypatch):
+        def searched(*args):
+            raise AssertionError("the cofactor search ran")
+
+        monkeypatch.setattr(curve, "find_curve_field", searched)
+        with pytest.raises(ValueError, match="=9 is not prime"):
+            setup_curve(p, q, random.Random(1))
 
 
 class TestOperations:
