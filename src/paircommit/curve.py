@@ -15,9 +15,8 @@ is affine chord-and-tangent; `ec_mul` and the Miller loop work in
 Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, walk
 the NAF digits of their exponent, and pay one inversion each at the
 end. The Miller loop makes one fused, denominator-free step per digit
-(see `tate_pairing`). An order
-check, `mul_is_infinity`, is Montgomery's x-only ladder, with no
-inversion at all.
+(see `tate_pairing`). An order check, `mul_is_infinity`, is
+Montgomery's x-only ladder, with no inversion at all.
 
 A point used again and again can bring its precomputation, which the
 caller owns and keeps: `doubling_table` gives the affine points 2^i*P,

@@ -58,8 +58,7 @@ COMMITS_TO_1 = "CommitsTo1"
 INVALID = "Invalid"
 
 CENSUS_MAX_ORDER = 2 ** 12
-# the largest p + q a census takes: it makes 2(p + q) pairings and keeps p + q
-# powers, about 14 s and 28 MB on the curve just below the cap
+# the largest p + q a census takes: it makes 2(p + q) pairings and keeps p + q powers
 CENSUS_MAX_P_PLUS_Q = 2 ** 16
 
 

@@ -73,7 +73,7 @@ class TestCurveSetup:
 
     def test_cofactor_bound_exhaustion(self, rng, monkeypatch):
         monkeypatch.setattr(curve, "COFACTOR_BOUND", 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no suitable field prime with cofactor <= 2 "):
             setup_curve(5, 7, rng)
 
 
