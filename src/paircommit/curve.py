@@ -13,17 +13,20 @@ Points are affine (x, y) tuples of ints, with None for the point at
 infinity. F_fp2 elements are (a, b) tuples meaning a + b*i. `ec_add`
 is affine chord-and-tangent; `ec_mul` and the Miller loop work in
 Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, walk
-the NAF digits of their exponent, and pay one inversion each at the
-end. The Miller loop makes one fused, denominator-free step per digit
-(see `tate_pairing`). An order check, `mul_is_infinity`, is
-Montgomery's x-only ladder, with no inversion at all.
+the NAF digits of their exponent (a tabled `ec_mul` reads radix-32
+digits, below), and pay one inversion each at the end. The Miller loop
+makes one fused, denominator-free step per digit (see `tate_pairing`).
+An order check, `mul_is_infinity`, is Montgomery's x-only ladder, with
+no inversion at all.
 
 A point used again and again can bring its precomputation, which the
-caller owns and keeps: `doubling_table` gives the affine points 2^i*P,
-with which `ec_mul` makes only mixed additions, and the list that
-`tate_pairing` fills with P's Miller lines, each divided by its
-coefficient of i*y_Q, lets a later pairing with the same P replay them
-at Q with no point arithmetic. Nothing is cached in this module.
+caller owns and keeps: `window_table` gives the affine points d*32^i*P,
+d = 1..16, with which `ec_mul` reads its exponent in signed radix-32
+digits and makes one mixed addition per nonzero digit (fixed-base
+windowing, Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92), and
+the list that `tate_pairing` fills with P's Miller lines, each divided
+by its coefficient of i*y_Q, lets a later pairing with the same P replay
+them at Q with no point arithmetic. Nothing is cached in this module.
 """
 
 import random
@@ -166,30 +169,31 @@ def _inverses(fp: int, values: list[int]) -> list[int]:
     return out
 
 
-def ec_mul(fp: int, pt: Point, k: int, table: list[Point] | None = None) -> Point:
+def ec_mul(fp: int, pt: Point, k: int, table: list[list[Point]] | None = None) -> Point:
     """k*pt, with one inversion at the end.
 
-    Given table = doubling_table(fp, pt, size) and |k| < 2^(size - 1), the
-    NAF digits of k pick +-2^i*pt from the table, and the power is only
-    mixed additions. Otherwise it doubles once per NAF digit of |k| after
-    the top one and adds +-pt at each nonzero digit, as the Miller loop
-    walks n.
+    Given table = window_table(fp, pt, bits) and |k| < 2^bits, the power
+    reads the signed radix-32 digits of |k|, each in [-15, 16], and adds
+    +-d*32^i*pt from row i of the table for each nonzero digit d: only
+    mixed additions, no doublings. Otherwise it doubles once per NAF digit
+    of |k| after the top one and adds +-pt at each nonzero digit, as the
+    Miller loop walks n.
     """
     if pt is None or k == 0:
         return None
-    if table is not None and k.bit_length() < len(table):
+    negative, k = k < 0, abs(k)
+    if table is not None and k.bit_length() < 5 * len(table):
         x, y, z = 0, 1, 0
-        plus, minus = _naf(k)
-        digits = plus | minus
-        while digits:
-            low = digits & -digits
-            digits ^= low
-            if (entry := table[low.bit_length() - 1]) is not None:
-                py = entry[1] if plus & low else -entry[1] % fp
-                x, y, z = _add_affine(fp, x, y, z, entry[0], py)
+        for row in table:
+            d = ((k + 15) & 31) - 15  # the digit of k mod 32 in [-15, 16]
+            k = (k - d) >> 5
+            if d and (entry := row[abs(d) - 1]) is not None:
+                # -entry for a digit of the opposite sign to the exponent
+                ey = fp - entry[1] if (d < 0) != negative else entry[1]
+                x, y, z = _add_affine(fp, x, y, z, entry[0], ey)
         return _affine(fp, x, y, z)
-    if k < 0:
-        pt, k = ec_neg(fp, pt), -k
+    if negative:
+        pt = ec_neg(fp, pt)
     px, py = pt
     neg_py = -py % fp
     x, y, z = px, py, 1  # the top NAF digit, +1
@@ -201,17 +205,33 @@ def ec_mul(fp: int, pt: Point, k: int, table: list[Point] | None = None) -> Poin
     return _affine(fp, x, y, z)
 
 
-def doubling_table(fp: int, pt: Point, size: int) -> list[Point]:
-    """[2^i * pt for i in range(size)], affine, with one batched inversion.
+def window_table(fp: int, pt: Point, bits: int) -> list[list[Point]]:
+    """The table with which ec_mul raises pt to any |k| < 2^bits by
+    additions alone: bits // 5 + 1 rows, row i holding d*32^i*pt for
+    d = 1..16, affine.
 
-    Entries past a point of order 2^i are None, the point at infinity.
+    Row i is a chain of mixed additions of its base 32^i*pt, which is twice
+    the last entry of the row before, made affine by one inversion. One
+    batched inversion (Montgomery's trick) then normalises every entry.
+    Entries at infinity, met in groups of tiny order, are None.
     """
-    jac = [(pt[0], pt[1], 1) if pt is not None else (0, 1, 0)]
-    while len(jac) < size:
-        jac.append(_jac_double(fp, *jac[-1]))
+    jac = []
+    base = pt
+    for _ in range(bits // 5 + 1):
+        if base is None:
+            jac += [(0, 1, 0)] * 16
+            continue
+        bx, by = base
+        x, y, z = bx, by, 1
+        jac.append((x, y, z))
+        for _ in range(15):
+            x, y, z = _add_affine(fp, x, y, z, bx, by)
+            jac.append((x, y, z))
+        base = _affine(fp, *_jac_double(fp, x, y, z))
     zinvs = _inverses(fp, [z for _, _, z in jac])
-    return [(x * zinv * zinv % fp, y * zinv * zinv * zinv % fp) if zinv else None
-            for (x, y, _), zinv in zip(jac, zinvs)]
+    points = [(x * zinv * zinv % fp, y * zinv * zinv * zinv % fp) if zinv else None
+              for (x, y, _), zinv in zip(jac, zinvs)]
+    return [points[i:i + 16] for i in range(0, len(points), 16)]
 
 
 def mul_is_infinity(fp: int, pt: Point, k: int) -> bool:

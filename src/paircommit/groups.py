@@ -26,12 +26,13 @@ them explicitly or demand a full context.
 A curve context keeps what it can precompute for its fixed bases, on
 itself and never in module globals, so two contexts share nothing:
 pair(g, g) is computed at its first use, and g and every key's h (which
-CommitmentKey marks with `fix`) get a doubling table at their second
-power and recorded Miller lines at their second pairing as the first
-argument, so that commit, wi_prove and forge raise them by additions
-only and verify's pair(h, pi) replays h's lines. Exponents are reduced
-to (-n/2, n/2] first, so g^-1 costs no doublings. Order checks of
-points (generators and parsed elements) use curve.mul_is_infinity.
+CommitmentKey marks with `fix`) get a window table (curve.window_table)
+at their TABLE_AT_POWER-th power and recorded Miller lines at their
+second pairing as the first argument, so that commit, wi_prove and forge
+raise them by additions only and verify's pair(h, pi) replays h's lines.
+Exponents are reduced to (-n/2, n/2] first, so g^-1 costs no doublings.
+Order checks of points (generators and parsed elements) use
+curve.mul_is_infinity.
 """
 
 import random
@@ -48,6 +49,13 @@ from .errors import (
 
 TRANSPARENT = "transparent"
 CURVE = "curve"
+
+# A fixed base's window table is built at its eighth power. The table costs
+# the F_fp reductions of 4.7 to 5.4 untabled powers (64- to 16-bit primes),
+# so by then the base has spent more on untabled powers than the table costs
+# (ski rental); and no one-shot CLI command, which makes at most three
+# powers of one base, builds one.
+TABLE_AT_POWER = 8
 
 
 class _Element:
@@ -211,17 +219,18 @@ class TransparentContext(GroupContext):
 
 
 class _FixedBase:
-    """What a curve context keeps for one fixed base P: its doubling table
-    (curve.doubling_table), built at P's second power, and its Miller lines
-    (curve.tate_pairing's record), recorded by P's second pairing as the
-    first argument. A base used once pays for neither."""
+    """What a curve context keeps for one fixed base P: its window table
+    (curve.window_table), built at P's TABLE_AT_POWER-th power, and its
+    Miller lines (curve.tate_pairing's record), recorded by P's second
+    pairing as the first argument. A base raised fewer than TABLE_AT_POWER
+    times pays for no table, and one paired once for no lines."""
 
     __slots__ = ("powers", "pairings", "table", "lines")
 
     def __init__(self):
         self.powers = 0
         self.pairings = 0
-        self.table: list[curve.Point] | None = None
+        self.table: list[list[curve.Point]] | None = None
         self.lines: list[curve.Line | None] | None = None
 
 
@@ -298,8 +307,8 @@ class CurveContext(GroupContext):
         if fixed is None:
             return curve.ec_mul(fp, a, e)
         fixed.powers += 1
-        if fixed.powers == 2:
-            fixed.table = curve.doubling_table(fp, a, n.bit_length())
+        if fixed.powers == TABLE_AT_POWER:
+            fixed.table = curve.window_table(fp, a, (n // 2).bit_length())
         return curve.ec_mul(fp, a, e, fixed.table)
 
     def _gt_mul(self, a, b):

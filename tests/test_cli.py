@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import paircommit
-from paircommit import commitment, fileio, forgery
+from paircommit import cli, commitment, curve, fileio, forgery, groups
 from paircommit.cli import main
 from paircommit.groups import CURVE, TRANSPARENT
 
@@ -340,6 +340,26 @@ class TestParams:
                 assert got == want
             else:
                 assert hashlib.sha256(got.encode()).hexdigest() == want
+
+
+def test_only_census_builds_a_window_table(capsys, workdir, monkeypatch):
+    """A one-shot command raises each fixed base at most three times, below
+    the power at which a context builds the base's window table. So of the
+    seeded curve session's calls, which run every command that reads or
+    writes files, only census builds one: g's, for its p powers of g."""
+    commands, builds = [], []
+    table, one_shot = curve.window_table, main
+    monkeypatch.setattr(curve, "window_table",
+                        lambda fp, pt, bits: builds.append((commands[-1], pt))
+                        or table(fp, pt, bits))
+    # run() calls this module's main, so each build is charged to its command
+    monkeypatch.setitem(globals(), "main",
+                        lambda argv: commands.append(argv[0]) or one_shot(argv))
+    _pipeline_transcript(capsys, workdir, CURVE, ("8", "8"))
+    assert sorted(set(commands)) == sorted(set(cli._COMMANDS) - {"selftest"})
+    kv = fileio.read_kv(workdir / "ctx.txt")
+    g = groups.point_from_text(kv["g"], int(kv["fprime"]))
+    assert builds == [("census", g)]
 
 
 class TestHonestPipeline:

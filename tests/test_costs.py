@@ -8,11 +8,12 @@ counts in test_curve.py count them. Unreduced products are not counted
 either, so a row is a lower bound on an operation's work, not its time.
 
 The walk, the record and the replay are whole pairings of g, the final
-exponentiation included. The warm rows run once a key's tables and h's
-Miller lines exist. A change that raises a count fails here; a change
-that lowers one writes the new count into COUNTS.
+exponentiation included. The warm rows run once a key's window tables
+and h's Miller lines exist. A change that raises a count fails here; a
+change that lowers one writes the new count into COUNTS.
 """
 
+import functools
 import random
 
 import pytest
@@ -27,14 +28,15 @@ from paircommit import (
 )
 from paircommit.arith import gen_prime
 from paircommit.curve import (
-    doubling_table,
     ec_mul,
     f2_inv,
     f2_mul,
     f2_pow,
     mul_is_infinity,
     tate_pairing,
+    window_table,
 )
+from paircommit.groups import TABLE_AT_POWER
 
 SIZES = (16, 32, 64)
 POWERS = 300  # exponents per ec_mul row, drawn from (-n/2, n/2] as a context reduces them
@@ -46,8 +48,9 @@ COUNTS = {
     "replay": (153, 266, 547),
     "final exponentiation": (24, 14, 28),
     "warm verify": (621, 1_153, 2_372),
-    "warm commit": (92, 193, 376),
-    "ec_mul with a table, 300 powers": (27_913, 58_563, 120_931),
+    "warm commit": (54, 108, 225),
+    "window table build": (1_582, 2_938, 5_876),
+    "ec_mul with a table, 300 powers": (15_345, 31_986, 66_078),
     "ec_mul without a table, 300 powers": (87_276, 183_186, 377_947),
     "ladder over n": (256, 504, 1_024),
 }
@@ -74,6 +77,7 @@ def _final_exponentiation(fp: int, n: int, f):
     return f2_pow(fp, f2_mul(fp, (f[0], -f[1] % fp), f2_inv(fp, f)), (fp + 1) // n)
 
 
+@functools.cache
 def measure(bits: int) -> dict[str, int]:
     """The reductions of each operation in COUNTS, at one prime size."""
     r = random.Random(1)
@@ -84,12 +88,16 @@ def measure(bits: int) -> dict[str, int]:
     rng = random.Random(bits)
     ck, _ = binding_key_from_exponent(ctx, rng.randrange(1, ctx.q))
     m, t = 1, rng.randrange(n)
-    for _ in range(2):  # the second round builds g's and h's tables and h's lines
+    # four rounds: g's eighth power (the key made its first) and h's are
+    # in the fourth, and build their window tables; the second pairing
+    # records h's lines
+    for _ in range(4):
         com, proof = commit(ck, m, t), wi_prove(ck, m, t)
         assert verify(ck, com, proof)
     q_pt = proof.pi.value
     lines = []
-    table = doubling_table(fp, g, n.bit_length())
+    table_bits = (n // 2).bit_length()  # as a context builds the table
+    table = window_table(fp, g, table_bits)
     ks = [rng.randrange(-(n // 2), n // 2 + 1) for _ in range(POWERS)]
     f = tate_pairing(fp, n, g, q_pt)
     return {
@@ -99,6 +107,7 @@ def measure(bits: int) -> dict[str, int]:
         "final exponentiation": _counted(fp, lambda: _final_exponentiation(fp, n, f)),
         "warm verify": _counted(fp, lambda: verify(ck, com, proof)),
         "warm commit": _counted(fp, lambda: commit(ck, m, t)),
+        "window table build": _counted(fp, lambda: window_table(fp, g, table_bits)),
         "ec_mul with a table, 300 powers": _counted(
             fp, lambda: [ec_mul(fp, g, k, table) for k in ks]),
         "ec_mul without a table, 300 powers": _counted(
@@ -111,3 +120,12 @@ def measure(bits: int) -> dict[str, int]:
 def test_reduction_counts(column):
     expected = {operation: row[column] for operation, row in COUNTS.items()}
     assert measure(SIZES[column]) == expected
+
+
+@pytest.mark.parametrize("column", range(len(SIZES)), ids=[f"{b}-bit" for b in SIZES])
+def test_table_costs_less_than_the_powers_before_it(column):
+    """Ski rental: by the power that builds its window table, a base has
+    spent more reductions on untabled powers than the table costs."""
+    counts = measure(SIZES[column])
+    mean_untabled = counts["ec_mul without a table, 300 powers"] / POWERS
+    assert counts["window table build"] < (TABLE_AT_POWER - 1) * mean_untabled

@@ -5,7 +5,7 @@ and a denominator accumulator, kept verbatim (with `distort`, `_vert`
 and `_line`) as a test oracle, and
 `reference_ec_mul` is affine double-and-add over `ec_add`. The
 library's `tate_pairing` and `ec_mul` must return exactly their values,
-also when a doubling table serves the power or recorded Miller lines
+also when a window table serves the power or recorded Miller lines
 are replayed, and so must a context's powers and pairings of its fixed
 bases.
 """
@@ -32,7 +32,6 @@ from paircommit.curve import (
     F2_ZERO,
     Fp2,
     Point,
-    doubling_table,
     ec_add,
     ec_mul,
     ec_neg,
@@ -42,7 +41,9 @@ from paircommit.curve import (
     mul_is_infinity,
     random_point,
     tate_pairing,
+    window_table,
 )
+from paircommit.groups import TABLE_AT_POWER
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +272,27 @@ def test_ladder_order_check_matches_reference(case):
 
 
 # ---------------------------------------------------------------------------
-# fixed arguments: doubling tables and recorded Miller lines
+# fixed arguments: window tables and recorded Miller lines
 
 def test_table_powers_match_reference(case):
-    ctx, points, scalars, _ = case
-    fp = ctx.field_prime
-    size = max(abs(k) for k in scalars).bit_length() + 1
+    """Row i of a window table holds d*32^i*P for d = 1..16, None where that
+    is infinity (n15 and n51 have such entries), and a table power agrees
+    with the oracle at the digits' edges, at random k in (-n, n) and, past
+    the table's reach, at the case's scalars."""
+    ctx, points, scalars, rng = case
+    fp, n = ctx.field_prime, ctx.n
+    ks = [0, 1, -1, 15, -15, 16, -16, 17, -17, n // 2, -(n // 2)]
+    ks += [rng.randrange(-n, n) for _ in range(20)]
+    bits = max(abs(k) for k in ks).bit_length()
     for pt in points:
-        table = doubling_table(fp, pt, size)
-        assert table[0] == pt
-        assert all(table[i + 1] == ec_add(fp, table[i], table[i]) for i in range(size - 1))
-        for k in scalars:
+        table = window_table(fp, pt, bits)
+        if pt in points[:5]:
+            assert table == [[reference_ec_mul(fp, pt, d * 32 ** i) for d in range(1, 17)]
+                             for i in range(bits // 5 + 1)], pt
+        for k in ks + scalars:
             assert ec_mul(fp, pt, k, table) == reference_ec_mul(fp, pt, k), (pt, k)
+    # on the point of odd prime order p, d*32^i*P is infinity iff p divides d
+    assert any(None in row for row in window_table(fp, points[3], bits)) == (ctx.p <= 16)
 
 
 def test_replayed_pairings_match_reference(case):
@@ -300,7 +310,7 @@ def test_replayed_pairings_match_reference(case):
 def test_context_serves_fixed_bases(case):
     """A context's powers and pairings of g, of a key's h and of points of
     order p and q marked fixed agree with the oracle, from the first use,
-    through the table built at the second, on."""
+    through the table built at the eighth, on."""
     ctx, points, scalars, rng = case
     fp, n = ctx.field_prime, ctx.n
     ctx = CurveContext(n, fp, ctx.cofactor, ctx.g.value, ctx.p, ctx.q)
@@ -323,11 +333,32 @@ def test_two_contexts_never_share_a_cache(c35):
     a, b = (CurveContext(n, fp, c35.cofactor, c35.g.value, c35.p, c35.q) for _ in range(2))
     (ck_a, _), (ck_b, _) = (binding_key_from_exponent(ctx, 3) for ctx in (a, b))
     assert ck_a.h == ck_b.h and a._fixed is not b._fixed
-    for r in (2, 4):
+    # four rounds: g's and h's eighth powers build their window tables
+    for r in (2, 4, 6, 8):
         assert verify(ck_a, commit(ck_a, 1, r), wi_prove(ck_a, 1, r))
     fixed_a, fixed_b = a._fixed[ck_a.h.value], b._fixed[ck_b.h.value]
     assert fixed_a.table and fixed_a.lines and a._fixed[a.g.value].table
     assert (fixed_b.table, fixed_b.lines, b._fixed[b.g.value].table) == (None, None, None)
+
+
+def test_eighth_power_builds_the_window_table(monkeypatch, c35):
+    """A key's h makes its first seven powers untabled (the key's own check,
+    h^q, is the first); the eighth builds its window table, once, and the
+    table serves that power and every later one."""
+    fp = c35.field_prime
+    ctx = CurveContext(c35.n, fp, c35.cofactor, c35.g.value, c35.p, c35.q)
+    ck, _ = binding_key_from_exponent(ctx, 3)
+    fixed = ctx._fixed[ck.h.value]
+    assert (fixed.powers, fixed.table) == (1, None)
+    builds = _count(monkeypatch, curve, "window_table")
+    tabled = []
+    mul = curve.ec_mul
+    monkeypatch.setattr(curve, "ec_mul", lambda fp, pt, k, table=None:
+                        tabled.append(table is not None) or mul(fp, pt, k, table))
+    for k in range(2, 12):
+        assert (ck.h ** k).value == reference_ec_mul(fp, ck.h.value, k)
+        assert fixed.powers == k and len(builds) == (k >= TABLE_AT_POWER)
+    assert TABLE_AT_POWER == 8 and tabled == [False] * 6 + [True] * 4
 
 
 def test_context_build_pairs_nothing_until_gt_is_used(monkeypatch, c35):
@@ -430,7 +461,7 @@ def test_verify_makes_two_pairings(monkeypatch, c35):
 def test_table_power_makes_no_doublings(monkeypatch, case):
     ctx, points, _, rng = case
     fp, n = ctx.field_prime, ctx.n
-    table = doubling_table(fp, ctx.g.value, n.bit_length())
+    table = window_table(fp, ctx.g.value, (n // 2).bit_length())
     doubles = _count(monkeypatch, curve, "_jac_double")
     for k in (1, -1, n // 2, -(n // 2), rng.randrange(-(n // 2), n // 2)):
         assert ec_mul(fp, ctx.g.value, k, table) == reference_ec_mul(fp, ctx.g.value, k)
@@ -459,7 +490,7 @@ def test_signed_exponent_costs_no_doublings(monkeypatch, c35):
     assert minus_one == ctx.g.inverse() == ctx.g ** -1
 
 
-# in a tiny group a table power can meet T = 2^i*P, which takes a doubling
+# in a tiny group a table power can meet T = d*32^i*P, which takes a doubling
 @pytest.mark.parametrize("case", [16, 32], indirect=True, ids=lambda b: f"{b}-bit")
 def test_warm_key_protocol_op_counts(monkeypatch, case):
     """Once a key's tables and lines exist, commit and wi_prove make no
@@ -468,7 +499,9 @@ def test_warm_key_protocol_op_counts(monkeypatch, case):
     ctx, _, _, rng = case
     ck, _ = binding_key_from_exponent(ctx, rng.randrange(1, ctx.q))
     m, r = 1, rng.randrange(ctx.n)
-    for _ in range(2):
+    # four rounds: the fourth makes h's eighth power, and g's at the latest,
+    # which build their window tables
+    for _ in range(4):
         com, proof = commit(ck, m, r), wi_prove(ck, m, r)
         assert verify(ck, com, proof)
     doubles = _count(monkeypatch, curve, "_jac_double")
