@@ -6,6 +6,9 @@ fixed order, so that seeded runs are byte-identical and a file loads only
 as it was written: an unknown or out-of-order field is MalformedText.
 Secret key files embed the public key they belong to (xk = (ck, q),
 tk = (ck, x)); public key files never carry p, q, or any secret exponent.
+A group's n has at most MAX_ORDER_BITS bits and a curve's cofactor lies in
+(0, COFACTOR_BOUND], both checked before any arithmetic, so a load tests
+the primality of no number above 276 bits (the field prime, cofactor*n - 1).
 """
 
 import os
@@ -24,6 +27,7 @@ from .commitment import (
     key_fields,
     key_fingerprint,
 )
+from .curve import COFACTOR_BOUND
 from .errors import DeserializeError, InvalidKey, MalformedText, SecretKeyMismatch
 from .forgery import CensusResult, ForgeryRecord
 from .groups import (
@@ -39,6 +43,10 @@ from .groups import (
 )
 
 PathLike = str | os.PathLike
+
+# the largest group order a file may give, in bits; params makes at most
+# 128 (two 64-bit primes)
+MAX_ORDER_BITS = 256
 
 
 def write_kv(path: PathLike, fields: list[tuple[str, str]]) -> None:
@@ -163,14 +171,23 @@ def _context_from_fields(fields: dict[str, str], where: str, n: int,
                          p: int | None = None,
                          q: int | None = None) -> GroupContext:
     """The context a context file (n = p*q) or key file (n as written)
-    describes; a group the constructor refuses is a DeserializeError."""
+    describes; a group the constructor refuses is a DeserializeError. n and
+    a curve's cofactor are bounded before any arithmetic, which bounds p,
+    q and the field prime too."""
     backend = _take(fields, "backend", where)
+    if n.bit_length() > MAX_ORDER_BITS:
+        named = "field 'n'" if "n" in fields else "fields 'p' and 'q': n = p*q"
+        raise MalformedText(f"{where}: {named} has {n.bit_length()} bits, "
+                            f"above the bound of {MAX_ORDER_BITS}")
     try:
         if backend == TRANSPARENT:
             return TransparentContext(n, p, q)
         if backend == CURVE:
             fprime = _take_int(fields, "fprime", where)
             cofactor = _take_int(fields, "cofactor", where)
+            if not 0 < cofactor <= COFACTOR_BOUND:
+                raise MalformedText(f"{where}: field 'cofactor' is outside "
+                                    f"(0, {COFACTOR_BOUND}]")
             g_text = _take(fields, "g", where)
             with _naming(where, "g"):
                 return CurveContext(n, fprime, cofactor, point_from_text(g_text, fprime), p, q)

@@ -23,9 +23,8 @@ properties next to the audit verdict and takes no position.
 
 The rule that turns the two probes into a label has one owner, `_probe`,
 which works on the backend's payloads: `audit` wraps its probes into the
-Verdict's elements, and the census, which labels each residue mod p with
-no element per row, keeps only the label. The results are namedtuple
-records, each equal only to a record of its own type.
+Verdict's elements, and the census keeps only the label, of each g_u^a its
+G_p table walks. Each result is a namedtuple, equal only to its own type.
 """
 
 import random
@@ -222,7 +221,8 @@ def accepting_census(ctx: GroupContext, ck: CommitmentKey) -> CensusResult:
     verify's pair(c, c*g^-1) = pair(h, pi) holds iff it holds on G_p and on
     G_q, as a pairing across the two is 1. So c = g^e accepts
     p_counts[e % p] * q_counts[e % q] proofs, and audit labels it by e mod
-    p: 2(p + q) pairings, where a join over all of G makes 2n. Above
+    p: 2(p + q) pairings, where a join over all of G makes 2n. The labels
+    probe the p table's g_u^a as g^a, since (u - 1)*q = 0 mod n. Above
     p + q = CENSUS_MAX_P_PLUS_Q it raises ValueError before any pairing.
     """
     if not ctx.knows_factorization:
@@ -234,10 +234,10 @@ def accepting_census(ctx: GroupContext, ck: CommitmentKey) -> CensusResult:
         raise ValueError(f"census refused: p + q = {p + q} is above {CENSUS_MAX_P_PLUS_Q}, "
                          f"and the census would make {2 * (p + q)} pairings")
     g, h = ctx.g.value, ck.h.value
-    p_counts = _factor_counts(ctx, g, h, q * mod_inverse(q, p), p)
-    q_counts = _factor_counts(ctx, g, h, p * mod_inverse(p, q), q)
+    p_counts, p_powers = _factor_counts(ctx, g, h, q * mod_inverse(q, p), p)
+    q_counts, _ = _factor_counts(ctx, g, h, p * mod_inverse(p, q), q)
     g_inv = ctx._el_inv(g)
-    p_labels = [_probe(ctx, q, ctx._el_pow(g, a), g_inv)[0] for a in range(p)]
+    p_labels = [_probe(ctx, q, c, g_inv)[0] for c in p_powers]
     # CensusRow._make without its length check, which zip makes moot
     rows = None if n > CENSUS_MAX_ORDER else list(map(partial(tuple.__new__, CensusRow), zip(
         range(n), map(mul, cycle(p_counts), cycle(q_counts)), cycle(p_labels))))
@@ -250,14 +250,14 @@ def accepting_census(ctx: GroupContext, ck: CommitmentKey) -> CensusResult:
                         p_counts, q_counts, p_labels)
 
 
-def _factor_counts(ctx: GroupContext, g, h, u: int, order: int) -> list[int]:
+def _factor_counts(ctx: GroupContext, g, h, u: int, order: int) -> tuple[list[int], list]:
     """On the factor of G of the given prime order that x -> x^u projects
     onto (u = q*(q^-1 mod p) for G_p): for each a < order, the number of
-    f < order with pair(h, g_u^f) = pair(g_u^a, g_u^(a-1)), g_u = g^u. A
-    pairing with g_u^f sees h's part on that factor alone."""
+    f < order with pair(h, g_u^f) = pair(g_u^a, g_u^(a-1)), g_u = g^u; and
+    the walk g_u^a. A pairing with g_u^f sees only h's part on that factor."""
     # g_u^0, g_u^1, ...; accumulate's initial= would take the curve's identity, None, for none
     powers = [ctx._el_identity, *accumulate(repeat(ctx._el_pow(g, u), order - 1), ctx._el_mul)]
     rhs_counts = Counter(ctx._pair(h, pi) for pi in powers)
     # g_u^(a-1) is the power before g_u^a, cyclically
     return [rhs_counts[ctx._pair(c, c_over_g)]
-            for c, c_over_g in zip(powers, powers[-1:] + powers[:-1])]
+            for c, c_over_g in zip(powers, powers[-1:] + powers[:-1])], powers

@@ -53,8 +53,8 @@ CURVE = "curve"
 # A fixed base's window table is built at its eighth power. The table costs
 # the F_fp reductions of 4.7 to 5.4 untabled powers (64- to 16-bit primes),
 # so by then the base has spent more on untabled powers than the table costs
-# (ski rental); and no one-shot CLI command, which makes at most three
-# powers of one base, builds one.
+# (ski rental); and no CLI command builds one: a one-shot command makes at
+# most three powers of one base, and the census raises g only twice.
 TABLE_AT_POWER = 8
 
 
@@ -249,11 +249,12 @@ class CurveContext(GroupContext):
             raise ValueError("curve backend needs odd n")
         if field_prime % 4 != 3:
             raise ValueError(f"field prime {field_prime} is not 3 mod 4")
-        if not is_probable_prime(field_prime):
-            raise ValueError(f"field prime {field_prime} is not prime")
+        # before the primality test, so that fp is no larger than cofactor*n
         if cofactor % 2 != 0 or cofactor * n != field_prime + 1:
             raise ValueError(
                 f"cofactor {cofactor} does not satisfy cofactor*n = fp + 1")
+        if not is_probable_prime(field_prime):
+            raise ValueError(f"field prime {field_prime} is not prime")
         if g_point is None:
             raise ValueError("generator must not be the point at infinity")
         if not curve.is_on_curve(field_prime, g_point):

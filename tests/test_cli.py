@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import paircommit
-from paircommit import cli, commitment, curve, fileio, forgery, groups
+from paircommit import arith, cli, commitment, curve, fileio, forgery, groups
 from paircommit.cli import main
 from paircommit.groups import CURVE, TRANSPARENT
 
@@ -18,6 +18,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# 14,000 bits, odd, with no prime factor up to 47: a primality test of it
+# passes trial division and pays for a Miller-Rabin base
+HUGE = 53 ** 2444
 
 
 @pytest.fixture
@@ -342,11 +347,12 @@ class TestParams:
                 assert hashlib.sha256(got.encode()).hexdigest() == want
 
 
-def test_only_census_builds_a_window_table(capsys, workdir, monkeypatch):
+def test_no_command_builds_a_window_table(capsys, workdir, monkeypatch):
     """A one-shot command raises each fixed base at most three times, below
-    the power at which a context builds the base's window table. So of the
-    seeded curve session's calls, which run every command that reads or
-    writes files, only census builds one: g's, for its p powers of g."""
+    the power at which a context builds the base's window table, and the
+    census labels its residues on its count table's walk, not on powers of
+    g. So none of the seeded curve session's calls, which run every command
+    that reads or writes files, builds one."""
     commands, builds = [], []
     table, one_shot = curve.window_table, main
     monkeypatch.setattr(curve, "window_table",
@@ -357,9 +363,7 @@ def test_only_census_builds_a_window_table(capsys, workdir, monkeypatch):
                         lambda argv: commands.append(argv[0]) or one_shot(argv))
     _pipeline_transcript(capsys, workdir, CURVE, ("8", "8"))
     assert sorted(set(commands)) == sorted(set(cli._COMMANDS) - {"selftest"})
-    kv = fileio.read_kv(workdir / "ctx.txt")
-    g = groups.point_from_text(kv["g"], int(kv["fprime"]))
-    assert builds == [("census", g)]
+    assert builds == []
 
 
 class TestHonestPipeline:
@@ -713,6 +717,16 @@ class TestForgedPipeline:
         assert len([l for l in lines if l.startswith("c=")]) == 35
         assert any(l.startswith("accepting_pairs=") for l in lines)
 
+    def test_census_without_out_prints_the_table(self, capsys, workdir):
+        ctx, _ = _make_params(capsys, workdir)
+        ck, xk = workdir / "ck.txt", workdir / "xk.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "2")
+        table = workdir / "census.txt"
+        run(capsys, "census", "--ck", str(ck), "--secret", str(xk), "--out", str(table))
+        code, out, _ = run(capsys, "census", "--ck", str(ck), "--secret", str(xk))
+        assert (code, out) == (0, table.read_text())
+
 
 class TestErrors:
     def test_unknown_command(self, capsys):
@@ -809,6 +823,54 @@ class TestErrors:
         assert (code, out) == (2, "") and not table.exists()
         assert err == ("error: census refused: p + q = 16016280 is above 65536, "
                        "and the census would make 32032560 pairings\n")
+
+    @staticmethod
+    def _refuse_arithmetic(monkeypatch):
+        def called(*args, **kwargs):
+            raise AssertionError("a loader ran a primality or order test")
+
+        for module in (arith, groups, curve):
+            monkeypatch.setattr(module, "is_probable_prime", called)
+        monkeypatch.setattr(curve, "mul_is_infinity", called)
+
+    def test_huge_context_is_refused_before_any_arithmetic(self, capsys, workdir,
+                                                           monkeypatch):
+        """q = 53^2444 has 14,000 bits and no factor the trial division
+        tries, so one Miller-Rabin base would take seconds; n's bound
+        refuses it first, and the error line does not print its digits."""
+        ctx = workdir / "ctx.txt"
+        ctx.write_text(f"backend=transparent\np=3\nq={HUGE}\n")
+        self._refuse_arithmetic(monkeypatch)
+        code, out, err = run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+                             "--out-ck", str(workdir / "ck.txt"),
+                             "--out-secret", str(workdir / "xk.txt"), "--seed", "1")
+        assert (code, out) == (2, "") and not (workdir / "ck.txt").exists()
+        assert err == (f"error: {ctx}: fields 'p' and 'q': n = p*q has 14001 bits, "
+                       f"above the bound of 256\n")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", HUGE, "field 'n' has 14000 bits, above the bound of 256"),
+        ("cofactor", 2 * HUGE, "field 'cofactor' is outside (0, 1048576]"),
+        ("fprime", 4 * HUGE - 1, "cofactor {cofactor} does not satisfy cofactor*n = fp + 1"),
+    ], ids=["n", "cofactor", "fprime"])
+    def test_huge_curve_key_is_refused_before_any_arithmetic(self, capsys, workdir,
+                                                             monkeypatch, field, value,
+                                                             message):
+        """A curve key whose n, cofactor or field prime has 14,000 bits. fp
+        needs no bound of its own: cofactor*n = fp + 1 is tested before
+        fp's primality."""
+        ctx, _ = _make_params(capsys, workdir, backend="curve")
+        ck = workdir / "ck.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(workdir / "xk.txt"), "--seed", "2")
+        kv = fileio.read_kv(ck)
+        kv[field] = str(value)
+        fileio.write_kv(ck, list(kv.items()))
+        self._refuse_arithmetic(monkeypatch)
+        code, out, err = run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2",
+                             "--out", str(workdir / "c.txt"))
+        assert (code, out) == (2, "") and not (workdir / "c.txt").exists()
+        assert err == f"error: {ck}: {message.format(**kv)}\n"
 
     def test_mismatched_secret_and_key(self, capsys, workdir):
         ctx, _ = _make_params(capsys, workdir)

@@ -135,6 +135,15 @@ class TestFingerprint:
         want = hashlib.sha256(b"binding|transparent|35|G:1|G:10").hexdigest()[:16]
         assert key_fingerprint(other) == want
 
+    def test_fields_cannot_be_deleted(self, binding35):
+        """A key's slots would let del empty a field under a fixed digest."""
+        ck, _ = binding35
+        h, fp = ck.h, key_fingerprint(ck)
+        for name in ("h", "_digest"):
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(ck, name)
+        assert ck.h is h and key_fingerprint(ck) == fp
+
 
 class TestCommit:
     def test_worked_examples(self, binding35, hiding35):

@@ -518,3 +518,34 @@ def test_warm_key_protocol_op_counts(monkeypatch, case):
     monkeypatch.setattr(curve, "tate_pairing", counted)
     assert verify(ck, com, proof)
     assert pairings == [("walk", com.c.value), ("replay", ck.h.value)]
+
+
+# ---------------------------------------------------------------------------
+# F_fp2 and the point at infinity
+
+def test_f2_inv_of_zero_raises():
+    with pytest.raises(ZeroDivisionError, match="inverse of zero in F_fp2"):
+        f2_inv(139, F2_ZERO)
+
+
+def test_f2_pow_of_a_negative_exponent_is_the_inverse_power(monkeypatch):
+    """u^-e = (u^-1)^e. The loop halves e until it is 0, which a negative e
+    never reaches, so f2_mul is capped to turn a hang into a failure."""
+    fp, u, calls = 139, (3, 5), []
+
+    def capped(*args):
+        calls.append(args)
+        if len(calls) > 1000:
+            raise AssertionError("f2_pow did not stop")
+        return f2_mul(*args)
+
+    monkeypatch.setattr(curve, "f2_mul", capped)
+    for e in (1, 2, 7, 138, 139 * 139 - 2):
+        calls.clear()
+        inverse_power = f2_pow(fp, u, -e)
+        assert inverse_power == f2_inv(fp, f2_pow(fp, u, e))
+        assert f2_mul(fp, inverse_power, f2_pow(fp, u, e)) == F2_ONE
+
+
+def test_infinity_is_on_the_curve():
+    assert curve.is_on_curve(139, None)

@@ -1,6 +1,7 @@
 """Forgery procedure, audit oracle, claim report, and the census."""
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -34,6 +35,7 @@ from paircommit import (
     setup_transparent,
     verify,
 )
+from paircommit import curve
 from paircommit.forgery import CENSUS_MAX_ORDER, CensusRow, _probe
 from paircommit.selftest import audit_labels, census, forgery_accepts
 
@@ -291,6 +293,20 @@ class TestCensus:
                     result.accepting_c_by_verdict) == _joined_census(ctx, ck)
             twin = setup_transparent(p, q)
             assert result == accepting_census(twin, binding_key_from_exponent(twin, 2)[0])
+
+    def test_curve_census_walks_g_p_once(self, monkeypatch):
+        """A curve census makes 2p + 2 powers: g^u for each factor table,
+        and audit's two probes of each g_u^a its p table walks. g is raised
+        twice, so no window table is built."""
+        p, q = 41, 73
+        ctx = setup_curve(p, q, random.Random(p * q))
+        ck, _ = binding_key_from_exponent(ctx, 2)
+        calls = Counter()
+        for name in ("ec_mul", "window_table"):
+            monkeypatch.setattr(curve, name, lambda *args, real=getattr(curve, name), name=name:
+                                calls.update([name]) or real(*args))
+        accepting_census(ctx, ck)
+        assert calls == {"ec_mul": 2 * p + 2}
 
     def test_rows_carry_audit_verdict(self, t15, t35, rng):
         """Each row's label is what `audit` says of its c, under binding

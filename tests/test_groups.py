@@ -161,6 +161,12 @@ class TestOperations:
             with pytest.raises(TypeError):
                 op()
 
+    def test_g_never_equals_gt(self, t35):
+        """t35's g and gt both hold the payload 1, in one context."""
+        g, gt = t35.g, t35.gt
+        assert g.value == gt.value
+        assert not g == gt and not gt == g and g != gt
+
     def test_cross_context_pair_rejected(self, t35, c35):
         with pytest.raises(ContextMismatch):
             pair(t35.g, c35.g)
@@ -265,6 +271,11 @@ class TestSerialization:
             el = c35.g ** rng.randrange(35)
             assert element_from_text(el.to_text(), c35) == el
         assert element_from_text("G:inf", c35).is_identity()
+
+    def test_gt_to_text(self, t35, c35):
+        assert (t35.gt ** 3).to_text() == "GT:3"
+        a, b = c35.gt.value
+        assert c35.gt.to_text() == f"GT:{a},{b}"
 
     def test_malformed_text(self, t35, c35):
         for ctx, bad in [(t35, "G:x"), (t35, "H:3"), (t35, "G:99"),
