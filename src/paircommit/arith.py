@@ -11,17 +11,20 @@ Nothing in this module is constant-time; it is desk-scale lab code.
 
 import math
 import random
+from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import NotInvertible
 
 ExtGcdResult = namedtuple("ExtGcdResult", "g s t")
 
-# Witnesses making Miller-Rabin deterministic below psi_13 (Sorenson and
-# Webster, Math. Comp. 2017); without 41, psi_12 =
-# 318665857834031151167461 passes.
+# Witnesses making Miller-Rabin deterministic below psi_13, and psi_k, the
+# least odd composite that passes the first k of them (OEIS A014233): the
+# first k decide every n < psi_k.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI13 = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 RNG_WITNESSES = 40  # random witnesses an rng draws; the draws fix seeded output
@@ -106,11 +109,14 @@ def _strong_lucas(n: int) -> bool:
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test, and Baillie-PSW from psi_13 up.
 
-    Below 47^2 trial division by the small primes decides, and below
-    psi_13 (about 3.3e24) the fixed witness set does. From psi_13 up, an
-    rng's RNG_WITNESSES random witnesses are tested as well, and then a
-    strong Lucas test. An rng draws its witnesses whenever nothing before
-    them refused n, tested or not, because the draws fix seeded output.
+    Below 47^2 trial division by the small primes decides. Below psi_13
+    (about 3.3e24) the first k fixed witnesses decide, for k the least
+    with n < psi_k: at most 5 for a 32-bit n and 12 for a 72-bit one
+    (Jaeschke, Math. Comp. 1993; Sorenson and Webster, Math. Comp. 2017).
+    From psi_13 up, all 13 are tested, then an rng's RNG_WITNESSES random
+    witnesses, and then a strong Lucas test. An rng draws its witnesses
+    whenever nothing before them refused n, tested or not, because the
+    draws fix seeded output.
     """
     if n < 2:
         return False
@@ -134,9 +140,9 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
                     return True
             return False
 
-        if not all(map(witness_passes, _MR_BASES)):
+        if not all(map(witness_passes, _MR_BASES[:bisect_right(_PSI, n) + 1])):
             return False
-        proven = n < _PSI13
+        proven = n < _PSI[-1]
     if rng is not None:
         for _ in range(RNG_WITNESSES):
             a = rng.randrange(2, n - 1)

@@ -9,8 +9,10 @@ Exit codes: 0 success / proof accepted, 1 proof rejected or selftest
 failure, 2 malformed input or usage error, 3 an unexpected error (a fault
 of the program, never a reject).
 
-A call makes the argument parser of its own command alone; help and
-usage errors read as from the parser with every command.
+A call that names a command parses the rest with build_parser(command),
+that command's parser alone. With no command, or an argument the command
+does not take, the full parser parses the call again, so help and usage
+errors read byte for byte as from the parser with every command.
 """
 
 import argparse
@@ -234,39 +236,46 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The paircommit parser for an argv whose first item is command.
+def _command_arguments(parser: argparse.ArgumentParser,
+                       name: str) -> argparse.ArgumentParser:
+    """parser, given command name's flags and defaults (func, command)."""
+    _, func, arguments = _COMMANDS[name]
+    for flag, keywords in arguments.items():
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func, command=name)
+    return parser
 
-    When command is a command name, only that command's sub-parser is
-    made: argparse hands every later argument to it, so the others would
-    go unused, and making them is most of the parser's cost. Any other
-    first item (none, a wrong command, a top-level --help) gets every
-    sub-parser."""
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of command's arguments, or with no command the full one.
+
+    A command's parser is the sub-parser the full parser makes for it, on
+    its own: prog "paircommit <command>", the arguments after the command
+    name. Anything else (none, a wrong command) gets the full parser."""
+    if command in _COMMANDS:
+        return _command_arguments(argparse.ArgumentParser(prog=f"paircommit {command}"),
+                                  command)
     parser = argparse.ArgumentParser(
         prog="paircommit",
         description="composite-order pairing commitment lab: honest protocol, "
                     "forgery, and audit")
-    one = command in _COMMANDS
-    # with one sub-parser, the choices are spelled out, so that the usage
-    # line of an error found after it ran still lists every command
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
-    for name, (help_text, func, arguments) in _COMMANDS.items():
-        if name == command or not one:
-            sp = sub.add_parser(name, help=help_text)
-            for flag, keywords in arguments.items():
-                sp.add_argument(flag, **keywords)
-            sp.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _command_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        named = bool(argv) and argv[0] in _COMMANDS
+        if named:
+            args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not named or rest:
+            # no command, or an argument the command does not take: the
+            # full parser prints the help or error of paircommit itself
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

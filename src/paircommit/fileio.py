@@ -97,11 +97,12 @@ def _take(fields: dict[str, str], key: str, where: str) -> str:
     return fields[key]
 
 
-def _check_layout(fields: dict[str, str], written: list[tuple[str, str]],
-                  where: str) -> None:
-    """Refuse fields that are not the names the writer gives, in its order:
-    each loader checks a file against the writer of the object it built."""
-    got, names = list(fields), [key for key, _ in written]
+def _check_layout(fields: dict[str, str], names, where: str) -> None:
+    """Refuse fields that are not names, the writer's field names, in its
+    order. A context or key file is checked before anything is built from
+    it, any other file against the fields its writer gives the object
+    built from it (a dict of them, whose keys are the names)."""
+    got, names = list(fields), list(names)
     if got == names:
         return
     for key in got:
@@ -160,11 +161,11 @@ def save_context(path: PathLike, ctx: GroupContext) -> None:
 def load_context(path: PathLike) -> GroupContext:
     where = str(path)
     fields = read_kv(path)
+    curve = ("fprime", "cofactor", "g") if fields.get("backend") == CURVE else ()
+    _check_layout(fields, ("backend", "p", "q", *curve), where)
     p = _take_int(fields, "p", where)
     q = _take_int(fields, "q", where)
-    ctx = _context_from_fields(fields, where, p * q, p, q)
-    _check_layout(fields, context_fields(ctx), where)
-    return ctx
+    return _context_from_fields(fields, where, p * q, p, q)
 
 
 def _context_from_fields(fields: dict[str, str], where: str, n: int,
@@ -199,6 +200,15 @@ def _context_from_fields(fields: dict[str, str], where: str, n: int,
 # ---------------------------------------------------------------------------
 # keys
 
+def _read_key(path: PathLike, kind: str, *secret: str) -> tuple[dict[str, str], str]:
+    """Fields of a key file of kind, checked to be the names its writer
+    gives: the public key's (key_fields), then the secret's."""
+    fields, where = _read(path, kind)
+    curve = ("fprime", "cofactor") if fields.get("backend") == CURVE else ()
+    _check_layout(fields, ("kind", "mode", "backend", "n", *curve, "g", "h", *secret), where)
+    return fields, where
+
+
 def _key_from_fields(fields: dict[str, str], where: str,
                      p: int | None = None, q: int | None = None) -> CommitmentKey:
     """The public key a key file lists."""
@@ -228,12 +238,10 @@ def load_commitment_key(path: PathLike,
     """The key the file lists. A file that lists exactly the key same_as,
     which its caller has already checked, loads as same_as, and no second
     context is built for it."""
-    fields, where = _read(path, "commitment-key")
+    fields, where = _read_key(path, "commitment-key")
     if same_as is not None and list(fields.items()) == _commitment_key_fields(same_as):
         return same_as
-    ck = _key_from_fields(fields, where)
-    _check_layout(fields, _commitment_key_fields(ck), where)
-    return ck
+    return _key_from_fields(fields, where)
 
 
 def _extraction_key_fields(xk: ExtractionKey) -> list[tuple[str, str]]:
@@ -245,7 +253,7 @@ def save_extraction_key(path: PathLike, xk: ExtractionKey) -> None:
 
 
 def load_extraction_key(path: PathLike) -> ExtractionKey:
-    fields, where = _read(path, "extraction-key")
+    fields, where = _read_key(path, "extraction-key", "q")
     mode = _take(fields, "mode", where)
     if mode != BINDING:
         # extract refuses a hiding key, but audit and census would take one
@@ -261,9 +269,7 @@ def load_extraction_key(path: PathLike) -> ExtractionKey:
         raise MalformedText(f"{where}: q={q} is not the larger prime factor")
     ck = _key_from_fields(fields, where, p=p, q=q)
     with _naming(where, "h"):
-        xk = ExtractionKey(ck, q)
-    _check_layout(fields, _extraction_key_fields(xk), where)
-    return xk
+        return ExtractionKey(ck, q)
 
 
 def _trapdoor_key_fields(tk: TrapdoorKey) -> list[tuple[str, str]]:
@@ -275,7 +281,7 @@ def save_trapdoor_key(path: PathLike, tk: TrapdoorKey) -> None:
 
 
 def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
-    fields, where = _read(path, "trapdoor-key")
+    fields, where = _read_key(path, "trapdoor-key", "x")
     x = _take_int(fields, "x", where)
     ck = _key_from_fields(fields, where)
     with _naming(where, "x"):
@@ -283,9 +289,7 @@ def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
             raise SecretKeyMismatch(f"x={x} shares a factor with n={ck.context.n}")
         if ck.context.g ** x != ck.h:
             raise SecretKeyMismatch(f"g^{x} is not the key's h")
-    tk = TrapdoorKey(ck, x)
-    _check_layout(fields, _trapdoor_key_fields(tk), where)
-    return tk
+    return TrapdoorKey(ck, x)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,7 @@ def save_commitment(path: PathLike, com: Commitment, ck: CommitmentKey) -> None:
 def load_commitment(path: PathLike, ck: CommitmentKey) -> Commitment:
     fields, where = _read_artifact(path, "commitment", ck)
     com = Commitment(_take_element(fields, "c", where, ck.context), fields["key"])
-    _check_layout(fields, _commitment_fields(com, ck), where)
+    _check_layout(fields, dict(_commitment_fields(com, ck)), where)
     return com
 
 
@@ -335,7 +339,7 @@ def save_proof(path: PathLike, proof: WIProof, ck: CommitmentKey) -> None:
 def load_proof(path: PathLike, ck: CommitmentKey) -> WIProof:
     fields, where = _read_artifact(path, "proof", ck)
     proof = WIProof(_take_element(fields, "pi", where, ck.context), fields["key"])
-    _check_layout(fields, _proof_fields(proof, ck), where)
+    _check_layout(fields, dict(_proof_fields(proof, ck)), where)
     return proof
 
 
@@ -350,7 +354,7 @@ def save_opening(path: PathLike, opening: Opening) -> None:
 def load_opening(path: PathLike) -> Opening:
     fields, where = _read(path, "opening")
     opening = Opening(_take_int(fields, "m", where), _take_int(fields, "r", where))
-    _check_layout(fields, _opening_fields(opening), where)
+    _check_layout(fields, dict(_opening_fields(opening)), where)
     return opening
 
 
@@ -386,7 +390,7 @@ def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
         c=Commitment(c, tag),
         pi=WIProof(pi, tag),
     )
-    _check_layout(fields, _forgery_fields(rec, ck), where)
+    _check_layout(fields, dict(_forgery_fields(rec, ck)), where)
     return rec
 
 

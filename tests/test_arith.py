@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircommit import NotInvertible, ext_gcd, gen_prime, is_probable_prime, mod_inverse
-from paircommit.arith import RNG_WITNESSES, _strong_lucas
+from paircommit import NotInvertible, arith, ext_gcd, gen_prime, is_probable_prime, mod_inverse
+from paircommit.arith import RNG_WITNESSES, _MR_BASES, _PSI, _strong_lucas
 
 
 class TestExtGcd:
@@ -160,6 +160,101 @@ class TestWitnessRule:
         by none for a composite."""
         rng, expected = random.Random(seed), random.Random(seed)
         prime = is_probable_prime(n)
+        assert is_probable_prime(n, rng=rng) == prime
+        if prime and n > 47:
+            for _ in range(RNG_WITNESSES):
+                expected.randrange(2, n - 1)
+        assert rng.getstate() == expected.getstate()
+
+
+# psi_k (OEIS A014233) and its factors: each is composite by its factors
+PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+def _strong(n, a):
+    """n passes the strong (Miller-Rabin) test to the base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1:
+        return True
+    for _ in range(s):
+        if x == n - 1:
+            return True
+        x = x * x % n
+    return False
+
+
+def _all_13(n):
+    """The test with every fixed base, a proof below psi_13."""
+    if n < 2 or n in _MR_BASES:
+        return n >= 2
+    return n % 2 == 1 and all(_strong(n, a) for a in _MR_BASES)
+
+
+def _bases_tested(monkeypatch, n):
+    """The bases is_probable_prime(n) raises n - 1's odd part to."""
+    bases = []
+
+    def counted(a, e, m):
+        bases.append(a)
+        return pow(a, e, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(arith, "pow", counted, raising=False)
+        return is_probable_prime(n), bases
+
+
+class TestWitnessTable:
+    """The first k fixed bases decide every n < psi_k, so only those are
+    tested; the answer and an rng's draws are those of all 13."""
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_psi_k_is_composite_and_passes_k_bases(self, k):
+        psi = _PSI[k - 1]
+        assert math.prod(PSI_FACTORS[psi]) == psi and min(PSI_FACTORS[psi]) > 1
+        assert all(_strong(psi, a) for a in _MR_BASES[:k])
+        if k < 13 and _PSI[k] != psi:
+            assert not _strong(psi, _MR_BASES[k])
+        assert not is_probable_prime(psi)
+
+    @pytest.mark.parametrize("k", [k for k in range(2, 14) if k == 13 or _PSI[k] != _PSI[k - 1]])
+    def test_bases_tested_below_and_at_psi_k(self, monkeypatch, k):
+        """The largest prime below psi_k is decided by the bases of the
+        least j with psi_j = psi_k; psi_k itself by one more, which refuses
+        it (psi_13 by all 13, then the strong Lucas test). Trial division
+        decides around psi_1 = 2047 < 47^2."""
+        psi = _PSI[k - 1]
+        below = psi - 2
+        while not _all_13(below):
+            below -= 2
+        answer, bases = _bases_tested(monkeypatch, below)
+        assert answer and bases == list(_MR_BASES[:_PSI.index(psi) + 1])
+        answer, bases = _bases_tested(monkeypatch, psi)
+        assert not answer and bases == list(_MR_BASES[:min(k + 1, 13)])
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @given(n=st.one_of(st.integers(0, PSI13 - 1), st.sampled_from(_PSI[:-1]),
+                       st.sampled_from(_PSI).flatmap(
+                           lambda psi: st.integers(psi - 2 ** 16, psi - 1)),
+                       _primes(81), st.builds(mul, _primes(40), _primes(41))),
+           seed=st.integers(0, 2 ** 32))
+    def test_agrees_with_all_13_bases_below_psi13(self, n, seed):
+        """Below psi_13 the answer is the 13-base test's, and an rng moves
+        by RNG_WITNESSES draws for a prime above 47 and by none otherwise."""
+        rng, expected = random.Random(seed), random.Random(seed)
+        prime = _all_13(n)
+        assert is_probable_prime(n) == prime
         assert is_probable_prime(n, rng=rng) == prime
         if prime and n > 47:
             for _ in range(RNG_WITNESSES):

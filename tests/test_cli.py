@@ -1,5 +1,6 @@
 """CLI workflows: pipelines, exit codes, seed determinism."""
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -872,6 +873,28 @@ class TestErrors:
         assert (code, out) == (2, "") and not (workdir / "c.txt").exists()
         assert err == f"error: {ck}: {message.format(**kv)}\n"
 
+    @pytest.mark.parametrize("kind", ["context", "key"])
+    def test_unknown_field_is_refused_before_any_arithmetic(self, capsys, workdir,
+                                                            monkeypatch, kind):
+        """A curve context or key file with one unknown field used to pay
+        every primality test and order ladder of its group before its field
+        names were read."""
+        ctx, _ = _make_params(capsys, workdir, backend="curve")
+        ck, c = workdir / "ck.txt", workdir / "c.txt"
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(workdir / "xk.txt"), "--seed", "2")
+        path = ctx if kind == "context" else ck
+        path.write_text(path.read_text() + "extra=1\n")
+        self._refuse_arithmetic(monkeypatch)
+        if kind == "context":
+            argv = ["keygen", "--mode", "hiding", "--context", str(ctx), "--out-ck", str(c),
+                    "--out-secret", str(workdir / "tk.txt")]
+        else:
+            argv = ["commit", "--ck", str(ck), "--m", "1", "--r", "2", "--out", str(c)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and not c.exists()
+        assert err == f"error: {path}: unknown field 'extra'\n"
+
     def test_mismatched_secret_and_key(self, capsys, workdir):
         ctx, _ = _make_params(capsys, workdir)
         ck1, xk1 = workdir / "ck1.txt", workdir / "xk1.txt"
@@ -889,8 +912,9 @@ class TestErrors:
 
 
 class TestParser:
-    """main makes only the named command's sub-parser; what it parses,
-    prints and exits with is what the parser with every command gives."""
+    """main parses a named command's arguments with that command's parser
+    alone; what it parses, prints and exits with is what the parser with
+    every command gives."""
 
     VALID = {
         "params": ["--bits-p", "5", "--bits-q", "6", "--backend", "curve", "--out", "x",
@@ -916,16 +940,32 @@ class TestParser:
         from paircommit.cli import _COMMANDS, build_parser
         assert sorted(self.VALID) == sorted(_COMMANDS)
         for name, rest in self.VALID.items():
-            argv = [name] + rest
-            parsed = vars(build_parser(name).parse_args(argv))
-            assert parsed == vars(build_parser().parse_args(argv))
+            parsed = vars(build_parser(name).parse_args(rest))
+            assert parsed == vars(build_parser().parse_args([name] + rest))
+            assert parsed["command"] == name
             # every integer flag is given above, and parses as an int
             assert {k for k, v in parsed.items() if type(v) is int} == self.INTEGERS & set(parsed)
             other = "verify" if name == "selftest" else "selftest"
-            with pytest.raises(SystemExit) as done:  # the only sub-parser is name's
+            with pytest.raises(SystemExit) as done:  # the parser is name's alone
                 build_parser(name).parse_args([other])
             assert done.value.code == 2
-        assert build_parser("selftest").parse_args(["selftest"]).seed == 1
+        assert build_parser("selftest").parse_args([]).seed == 1
+
+    def test_a_valid_call_makes_one_parser(self, capsys, workdir, monkeypatch):
+        """A call whose arguments its command takes builds no parser but
+        its command's: no top-level parser, no sub-parser action."""
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, _, err = run(capsys, "params", "--bits-p", "3", "--bits-q", "4", "--backend",
+                           "transparent", "--out", str(workdir / "ctx.txt"))
+        assert (code, err) == (0, "")
+        assert made == ["paircommit params"]
 
     # sha256 of `paircommit [<command>] --help` at 80 columns. Both sides of
     # the test above read the one command table, so a help= lost from it
