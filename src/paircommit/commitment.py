@@ -32,6 +32,8 @@ HIDING = "hiding"
 
 DEFAULT_EXTRACT_BOUND = 2 ** 16
 _EXTRACT_WIDTH = 256  # baby steps per key, ceil(sqrt(DEFAULT_EXTRACT_BOUND)); any bound works
+# the most giant steps an extract makes; a search that may need more is refused
+EXTRACT_MAX_GIANT_STEPS = 2 ** 20
 
 
 def _record_eq(self, other) -> bool:
@@ -213,14 +215,23 @@ def extract(xk: ExtractionKey, c: Commitment, bound: int = DEFAULT_EXTRACT_BOUND
 
     c^q = (g^m h^r)^q = (g^q)^m kills the h component; m is its discrete
     log to the base g^q, by baby-step giant-step over the key's table.
+    g^q has order p, so the search stops at min(bound, p); one that may
+    need more than EXTRACT_MAX_GIANT_STEPS giant steps raises ValueError
+    before the first.
     """
     ck = xk.ck
     if ck.mode != BINDING:
         raise ValueError("extraction needs a binding-mode key")
     check_key(ck, c)
+    stop = min(bound, ck.context.n // xk.q)
+    steps = -(-stop // _EXTRACT_WIDTH)
+    if steps > EXTRACT_MAX_GIANT_STEPS:
+        raise ValueError(f"extract refused: a search below min(bound, p) = {stop} needs "
+                         f"{steps} giant steps, above {EXTRACT_MAX_GIANT_STEPS}; the largest "
+                         f"bound that fits is {EXTRACT_MAX_GIANT_STEPS * _EXTRACT_WIDTH}")
     if xk._steps is None:
         object.__setattr__(xk, "_steps", BabySteps(ck.context.g ** xk.q, _EXTRACT_WIDTH))
-    m = xk._steps.log(c.c ** xk.q, bound)
+    m = xk._steps.log(c.c ** xk.q, stop)
     if m is None:
         raise NotExtractable(f"no message below {bound} matches the commitment")
     return m

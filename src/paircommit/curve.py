@@ -41,7 +41,6 @@ Fp2 = tuple[int, int]
 Line = tuple[int, int]
 
 F2_ONE: Fp2 = (1, 0)
-F2_ZERO: Fp2 = (0, 0)
 
 COFACTOR_BOUND = 2 ** 20  # the largest cofactor find_curve_field tries
 

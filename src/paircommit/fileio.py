@@ -1,14 +1,18 @@
 """Line-oriented key=value files for every artifact the lab produces.
 
 All integers are decimal strings; group elements use the text encodings
-from the groups module. Each file kind has one exact field list, in a
-fixed order, so that seeded runs are byte-identical and a file loads only
-as it was written: an unknown or out-of-order field is MalformedText.
-Secret key files embed the public key they belong to (xk = (ck, q),
-tk = (ck, x)); public key files never carry p, q, or any secret exponent.
-A group's n has at most MAX_ORDER_BITS bits and a curve's cofactor lies in
-(0, COFACTOR_BOUND], both checked before any arithmetic, so a load tests
-the primality of no number above 276 bits (the field prime, cofactor*n - 1).
+from the groups module. One table, _FIELDS, gives each file kind its field
+names in file order, so that seeded runs are byte-identical: the one writer
+orders a file's values by it, and the one reader checks the kind= line and
+then the names against it, before any value is parsed, so a file loads
+only as it was written: an unknown, missing or out-of-order field is
+MalformedText. Secret key files embed the public key they belong to
+(xk = (ck, q), tk = (ck, x)); public key files never carry p, q, or any
+secret exponent. The forgery record is written for people to read and,
+like the census output, has no loader. A group's n has at most
+MAX_ORDER_BITS bits and a curve's cofactor lies in (0, COFACTOR_BOUND],
+both checked before any arithmetic, so a load tests the primality of no
+number above 276 bits (the field prime, cofactor*n - 1).
 """
 
 import os
@@ -82,36 +86,64 @@ def read_kv(path: PathLike) -> dict[str, str]:
     return parse_kv(text, where=str(path))
 
 
+# the fields that open every key file, and every protocol artifact file
+_KEY = ("kind", "mode", "backend", "n", "fprime", "cofactor", "g", "h")
+_ARTIFACT = ("kind", "n", "key")
+
+# kind -> the field names of its files, in file order. A transparent group's
+# files leave out fprime and cofactor, and its context file g too; only the
+# context file has no kind= line.
+_FIELDS = {
+    "context": ("backend", "p", "q", "fprime", "cofactor", "g"),
+    "commitment-key": _KEY,
+    "extraction-key": (*_KEY, "q"),
+    "trapdoor-key": (*_KEY, "x"),
+    "commitment": (*_ARTIFACT, "c"),
+    "proof": (*_ARTIFACT, "pi"),
+    "opening": ("kind", "m", "r"),
+    "forgery": (*_ARTIFACT, "k_a", "ell", "alpha1", "alpha2", "beta1", "beta2", "c", "pi"),
+}
+
+
+def _names(kind: str, backend: str | None) -> tuple[str, ...]:
+    """The field names of a file of kind on backend, in file order."""
+    if backend == CURVE:
+        return _FIELDS[kind]
+    curve_only = ("fprime", "cofactor", "g") if kind == "context" else ("fprime", "cofactor")
+    return tuple(name for name in _FIELDS[kind] if name not in curve_only)
+
+
+def _write(path: PathLike, kind: str, values: dict) -> None:
+    """A file of kind: str() of each value, in the table's order."""
+    values = {"kind": kind, **values}
+    write_kv(path, [(name, str(values[name])) for name in _names(kind, values.get("backend"))])
+
+
 def _read(path: PathLike, kind: str) -> tuple[dict[str, str], str]:
+    """Fields of a file of kind: its kind= line, and then every field name,
+    checked against the table before any value is parsed."""
     where = str(path)
     fields = read_kv(path)
-    got = _take(fields, "kind", where)
-    if got != kind:
+    got = fields.get("kind")
+    if kind != "context" and got != kind:
+        if got is None:
+            raise MalformedText(f"{where}: missing field 'kind'")
         raise MalformedText(f"{where}: expected kind={kind!r}, got kind={got!r}")
+    _check_layout(fields, _names(kind, fields.get("backend")), where)
     return fields, where
 
 
-def _take(fields: dict[str, str], key: str, where: str) -> str:
-    if key not in fields:
-        raise MalformedText(f"{where}: missing field {key!r}")
-    return fields[key]
-
-
-def _check_layout(fields: dict[str, str], names, where: str) -> None:
-    """Refuse fields that are not names, the writer's field names, in its
-    order. A context or key file is checked before anything is built from
-    it, any other file against the fields its writer gives the object
-    built from it (a dict of them, whose keys are the names)."""
-    got, names = list(fields), list(names)
-    if got == names:
+def _check_layout(fields: dict[str, str], names: tuple[str, ...], where: str) -> None:
+    """Refuse fields that are not names, in that order."""
+    if tuple(fields) == names:
         return
-    for key in got:
+    for key in fields:
         if key not in names:
             raise MalformedText(f"{where}: unknown field {key!r}")
     for key in names:
         if key not in fields:
             raise MalformedText(f"{where}: missing field {key!r}")
-    key, want = next((a, b) for a, b in zip(got, names) if a != b)
+    key, want = next((a, b) for a, b in zip(fields, names) if a != b)
     raise MalformedText(f"{where}: field {key!r} is out of order, expected {want!r}")
 
 
@@ -125,44 +157,32 @@ def _naming(where: str, key: str):
 
 
 def _take_int(fields: dict[str, str], key: str, where: str) -> int:
-    raw = _take(fields, key, where)
+    raw = fields[key]
     with _naming(where, key):
         return _parse_int(raw, raw)
 
 
 def _take_element(fields: dict[str, str], key: str, where: str,
                   ctx: GroupContext) -> GElement:
-    text = _take(fields, key, where)
     with _naming(where, key):
-        return element_from_text(text, ctx)
+        return element_from_text(fields[key], ctx)
 
 
 # ---------------------------------------------------------------------------
 # group contexts
 
-def context_fields(ctx: GroupContext) -> list[tuple[str, str]]:
-    """Full (factorization-carrying) context description."""
+def save_context(path: PathLike, ctx: GroupContext) -> None:
+    """The full (factorization-carrying) context description."""
     if not ctx.knows_factorization:
         raise ValueError("context file needs the factorization")
-    fields = [("backend", ctx.backend), ("p", str(ctx.p)), ("q", str(ctx.q))]
+    values = {"backend": ctx.backend, "p": ctx.p, "q": ctx.q}
     if ctx.backend == CURVE:
-        fields += [
-            ("fprime", str(ctx.field_prime)),
-            ("cofactor", str(ctx.cofactor)),
-            ("g", ctx.g.to_text()),
-        ]
-    return fields
-
-
-def save_context(path: PathLike, ctx: GroupContext) -> None:
-    write_kv(path, context_fields(ctx))
+        values.update(fprime=ctx.field_prime, cofactor=ctx.cofactor, g=ctx.g.to_text())
+    _write(path, "context", values)
 
 
 def load_context(path: PathLike) -> GroupContext:
-    where = str(path)
-    fields = read_kv(path)
-    curve = ("fprime", "cofactor", "g") if fields.get("backend") == CURVE else ()
-    _check_layout(fields, ("backend", "p", "q", *curve), where)
+    fields, where = _read(path, "context")
     p = _take_int(fields, "p", where)
     q = _take_int(fields, "q", where)
     return _context_from_fields(fields, where, p * q, p, q)
@@ -175,7 +195,7 @@ def _context_from_fields(fields: dict[str, str], where: str, n: int,
     describes; a group the constructor refuses is a DeserializeError. n and
     a curve's cofactor are bounded before any arithmetic, which bounds p,
     q and the field prime too."""
-    backend = _take(fields, "backend", where)
+    backend = fields["backend"]
     if n.bit_length() > MAX_ORDER_BITS:
         named = "field 'n'" if "n" in fields else "fields 'p' and 'q': n = p*q"
         raise MalformedText(f"{where}: {named} has {n.bit_length()} bits, "
@@ -189,30 +209,21 @@ def _context_from_fields(fields: dict[str, str], where: str, n: int,
             if not 0 < cofactor <= COFACTOR_BOUND:
                 raise MalformedText(f"{where}: field 'cofactor' is outside "
                                     f"(0, {COFACTOR_BOUND}]")
-            g_text = _take(fields, "g", where)
             with _naming(where, "g"):
-                return CurveContext(n, fprime, cofactor, point_from_text(g_text, fprime), p, q)
+                return CurveContext(n, fprime, cofactor, point_from_text(fields["g"], fprime),
+                                    p, q)
     except ValueError as exc:
         raise DeserializeError(f"{where}: {exc}") from None
     raise MalformedText(f"{where}: unknown backend {backend!r}")
 
 
 # ---------------------------------------------------------------------------
-# keys
-
-def _read_key(path: PathLike, kind: str, *secret: str) -> tuple[dict[str, str], str]:
-    """Fields of a key file of kind, checked to be the names its writer
-    gives: the public key's (key_fields), then the secret's."""
-    fields, where = _read(path, kind)
-    curve = ("fprime", "cofactor") if fields.get("backend") == CURVE else ()
-    _check_layout(fields, ("kind", "mode", "backend", "n", *curve, "g", "h", *secret), where)
-    return fields, where
-
+# keys: the public key's fields (key_fields), then the secret's
 
 def _key_from_fields(fields: dict[str, str], where: str,
                      p: int | None = None, q: int | None = None) -> CommitmentKey:
     """The public key a key file lists."""
-    mode = _take(fields, "mode", where)
+    mode = fields["mode"]
     if mode not in (BINDING, HIDING):
         raise MalformedText(f"{where}: unknown mode {mode!r}")
     ctx = _context_from_fields(fields, where, _take_int(fields, "n", where), p, q)
@@ -225,12 +236,8 @@ def _key_from_fields(fields: dict[str, str], where: str,
     return CommitmentKey(ctx, _take_element(fields, "h", where, ctx), mode)
 
 
-def _commitment_key_fields(ck: CommitmentKey) -> list[tuple[str, str]]:
-    return [("kind", "commitment-key")] + key_fields(ck)
-
-
 def save_commitment_key(path: PathLike, ck: CommitmentKey) -> None:
-    write_kv(path, _commitment_key_fields(ck))
+    _write(path, "commitment-key", dict(key_fields(ck)))
 
 
 def load_commitment_key(path: PathLike,
@@ -238,23 +245,19 @@ def load_commitment_key(path: PathLike,
     """The key the file lists. A file that lists exactly the key same_as,
     which its caller has already checked, loads as same_as, and no second
     context is built for it."""
-    fields, where = _read_key(path, "commitment-key")
-    if same_as is not None and list(fields.items()) == _commitment_key_fields(same_as):
+    fields, where = _read(path, "commitment-key")
+    if same_as is not None and fields == {"kind": "commitment-key", **dict(key_fields(same_as))}:
         return same_as
     return _key_from_fields(fields, where)
 
 
-def _extraction_key_fields(xk: ExtractionKey) -> list[tuple[str, str]]:
-    return [("kind", "extraction-key")] + key_fields(xk.ck) + [("q", str(xk.q))]
-
-
 def save_extraction_key(path: PathLike, xk: ExtractionKey) -> None:
-    write_kv(path, _extraction_key_fields(xk))
+    _write(path, "extraction-key", dict(key_fields(xk.ck), q=xk.q))
 
 
 def load_extraction_key(path: PathLike) -> ExtractionKey:
-    fields, where = _read_key(path, "extraction-key", "q")
-    mode = _take(fields, "mode", where)
+    fields, where = _read(path, "extraction-key")
+    mode = fields["mode"]
     if mode != BINDING:
         # extract refuses a hiding key, but audit and census would take one
         # and print verdicts that mean nothing
@@ -272,16 +275,12 @@ def load_extraction_key(path: PathLike) -> ExtractionKey:
         return ExtractionKey(ck, q)
 
 
-def _trapdoor_key_fields(tk: TrapdoorKey) -> list[tuple[str, str]]:
-    return [("kind", "trapdoor-key")] + key_fields(tk.ck) + [("x", str(tk.x))]
-
-
 def save_trapdoor_key(path: PathLike, tk: TrapdoorKey) -> None:
-    write_kv(path, _trapdoor_key_fields(tk))
+    _write(path, "trapdoor-key", dict(key_fields(tk.ck), x=tk.x))
 
 
 def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
-    fields, where = _read_key(path, "trapdoor-key", "x")
+    fields, where = _read(path, "trapdoor-key")
     x = _take_int(fields, "x", where)
     ck = _key_from_fields(fields, where)
     with _naming(where, "x"):
@@ -295,11 +294,6 @@ def load_trapdoor_key(path: PathLike) -> TrapdoorKey:
 # ---------------------------------------------------------------------------
 # protocol artifacts: a kind/n/key header, then the body
 
-def _artifact(kind: str, ck: CommitmentKey, key_fp: str,
-              body: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    return [("kind", kind), ("n", str(ck.context.n)), ("key", key_fp)] + body
-
-
 def _read_artifact(path: PathLike, kind: str,
                    ck: CommitmentKey) -> tuple[dict[str, str], str]:
     """Fields of an artifact file whose header matches ck."""
@@ -307,91 +301,44 @@ def _read_artifact(path: PathLike, kind: str,
     n = _take_int(fields, "n", where)
     if n != ck.context.n:
         raise MalformedText(f"{where}: group order {n} does not match the key's {ck.context.n}")
-    tag = _take(fields, "key", where)
+    tag = fields["key"]
     if tag != key_fingerprint(ck):
         raise MalformedText(f"{where}: key fingerprint {tag} does not match the supplied key")
     return fields, where
 
 
-def _commitment_fields(com: Commitment, ck: CommitmentKey) -> list[tuple[str, str]]:
-    return _artifact("commitment", ck, com.key_fp, [("c", com.c.to_text())])
-
-
 def save_commitment(path: PathLike, com: Commitment, ck: CommitmentKey) -> None:
-    write_kv(path, _commitment_fields(com, ck))
+    _write(path, "commitment", {"n": ck.context.n, "key": com.key_fp, "c": com.c.to_text()})
 
 
 def load_commitment(path: PathLike, ck: CommitmentKey) -> Commitment:
     fields, where = _read_artifact(path, "commitment", ck)
-    com = Commitment(_take_element(fields, "c", where, ck.context), fields["key"])
-    _check_layout(fields, dict(_commitment_fields(com, ck)), where)
-    return com
-
-
-def _proof_fields(proof: WIProof, ck: CommitmentKey) -> list[tuple[str, str]]:
-    return _artifact("proof", ck, proof.key_fp, [("pi", proof.pi.to_text())])
+    return Commitment(_take_element(fields, "c", where, ck.context), fields["key"])
 
 
 def save_proof(path: PathLike, proof: WIProof, ck: CommitmentKey) -> None:
-    write_kv(path, _proof_fields(proof, ck))
+    _write(path, "proof", {"n": ck.context.n, "key": proof.key_fp, "pi": proof.pi.to_text()})
 
 
 def load_proof(path: PathLike, ck: CommitmentKey) -> WIProof:
     fields, where = _read_artifact(path, "proof", ck)
-    proof = WIProof(_take_element(fields, "pi", where, ck.context), fields["key"])
-    _check_layout(fields, dict(_proof_fields(proof, ck)), where)
-    return proof
-
-
-def _opening_fields(opening: Opening) -> list[tuple[str, str]]:
-    return [("kind", "opening"), ("m", str(opening.m)), ("r", str(opening.r))]
+    return WIProof(_take_element(fields, "pi", where, ck.context), fields["key"])
 
 
 def save_opening(path: PathLike, opening: Opening) -> None:
-    write_kv(path, _opening_fields(opening))
+    _write(path, "opening", opening._asdict())
 
 
 def load_opening(path: PathLike) -> Opening:
     fields, where = _read(path, "opening")
-    opening = Opening(_take_int(fields, "m", where), _take_int(fields, "r", where))
-    _check_layout(fields, dict(_opening_fields(opening)), where)
-    return opening
-
-
-def _forgery_fields(rec: ForgeryRecord, ck: CommitmentKey) -> list[tuple[str, str]]:
-    return _artifact("forgery", ck, rec.c.key_fp, [
-        ("k_a", str(rec.k_a)),
-        ("ell", str(rec.ell)),
-        ("alpha1", str(rec.alpha1)),
-        ("alpha2", str(rec.alpha2)),
-        ("beta1", str(rec.beta1)),
-        ("beta2", str(rec.beta2)),
-        ("c", rec.c.c.to_text()),
-        ("pi", rec.pi.pi.to_text()),
-    ])
+    return Opening(_take_int(fields, "m", where), _take_int(fields, "r", where))
 
 
 def save_forgery(path: PathLike, rec: ForgeryRecord, ck: CommitmentKey) -> None:
-    write_kv(path, _forgery_fields(rec, ck))
-
-
-def load_forgery(path: PathLike, ck: CommitmentKey) -> ForgeryRecord:
-    fields, where = _read_artifact(path, "forgery", ck)
-    c = _take_element(fields, "c", where, ck.context)
-    pi = _take_element(fields, "pi", where, ck.context)
-    tag = fields["key"]
-    rec = ForgeryRecord(
-        k_a=_take_int(fields, "k_a", where),
-        ell=_take_int(fields, "ell", where),
-        alpha1=_take_int(fields, "alpha1", where),
-        alpha2=_take_int(fields, "alpha2", where),
-        beta1=_take_int(fields, "beta1", where),
-        beta2=_take_int(fields, "beta2", where),
-        c=Commitment(c, tag),
-        pi=WIProof(pi, tag),
-    )
-    _check_layout(fields, dict(_forgery_fields(rec, ck)), where)
-    return rec
+    """The forgery record, for people to read: like the census output, no
+    command loads it back."""
+    _write(path, "forgery", {**rec._asdict(), "n": ck.context.n, "key": rec.c.key_fp,
+                             "c": rec.c.c.to_text(), "pi": rec.pi.pi.to_text()})
 
 
 def census_lines(result: CensusResult) -> list[str]:

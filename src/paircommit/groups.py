@@ -162,10 +162,6 @@ class GroupContext:
     def knows_factorization(self) -> bool:
         return self.p is not None
 
-    @property
-    def identity(self) -> GElement:
-        return GElement(self, self._el_identity)
-
     def element(self, value) -> GElement:
         return GElement(self, value)
 

@@ -142,6 +142,15 @@ class TestWitnessRule:
         assert wrong == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
                          40309, 58519, 75077, 97439, 100127, 113573, 115639]
 
+    def test_strong_lucas_refuses_a_square_without_a_jacobi_symbol(self, monkeypatch):
+        """No D has (D/P^2) = -1, so without its perfect-square check the
+        search for D would make about P/2 Jacobi symbols, to D = +-P."""
+        calls = []
+        jacobi = arith._jacobi
+        monkeypatch.setattr(arith, "_jacobi", lambda *args: calls.append(1) or jacobi(*args))
+        assert not _strong_lucas(10007 ** 2)
+        assert calls == []
+
     def test_primes_above_psi13_pass(self):
         """Mersenne primes above psi_13 pass, with and without an rng; a
         product of two of them does not."""

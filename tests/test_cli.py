@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import paircommit
-from paircommit import arith, cli, commitment, curve, fileio, forgery, groups
+from paircommit import cli, commitment, curve, fileio, forgery, groups
 from paircommit.cli import main
 from paircommit.groups import CURVE, TRANSPARENT
 
@@ -625,6 +625,17 @@ def _two_key_argv(cmd, ck, xk, c, out):
     }[cmd]
 
 
+def _split_forgery(record):
+    """A commitment file and a proof file beside a forgery record: its c=
+    and pi= lines, each under the record's kind/n/key header."""
+    kv = fileio.read_kv(record)
+    paths = record.parent / "fc.txt", record.parent / "fpi.txt"
+    for path, kind, field in zip(paths, ("commitment", "proof"), ("c", "pi")):
+        fileio.write_kv(path, [("kind", kind), ("n", kv["n"]), ("key", kv["key"]),
+                               (field, kv[field])])
+    return paths
+
+
 class TestForgedPipeline:
     def test_forge_verify_audit(self, capsys, workdir):
         """Forged proof passes verify; audit reports the probe elements."""
@@ -642,13 +653,7 @@ class TestForgedPipeline:
         assert "g_alpha1_in_gq=false" in out
         assert "audit_verdict=" in out
 
-        # split the record into commitment and proof files and verify
-        from paircommit import fileio
-        loaded_ck = fileio.load_commitment_key(ck)
-        rec = fileio.load_forgery(forgery, loaded_ck)
-        c, pi = workdir / "fc.txt", workdir / "fpi.txt"
-        fileio.save_commitment(c, rec.c, loaded_ck)
-        fileio.save_proof(pi, rec.pi, loaded_ck)
+        c, pi = _split_forgery(forgery)
         code, out, _ = run(capsys, "verify", "--ck", str(ck),
                            "--commitment", str(c), "--proof", str(pi))
         assert code == 0 and "accept" in out
@@ -673,7 +678,7 @@ class TestForgedPipeline:
 
     def test_worked_forged_pipeline_probe_values(self, capsys, workdir):
         """With h = g^15 over n=35 and beta1=2, the audit probes are g^7 and g^0."""
-        from paircommit import binding_key_from_exponent, fileio, setup_transparent
+        from paircommit import binding_key_from_exponent, setup_transparent
         ctx = setup_transparent(5, 7)
         ck_obj, xk_obj = binding_key_from_exponent(ctx, 3)
         ck, xk = workdir / "ck.txt", workdir / "xk.txt"
@@ -689,10 +694,7 @@ class TestForgedPipeline:
                       "beta1=2", "beta2=4", "c=G:26", "pi=G:27"):
             assert field in text
 
-        rec = fileio.load_forgery(forgery, ck_obj)
-        c, pi = workdir / "fc.txt", workdir / "fpi.txt"
-        fileio.save_commitment(c, rec.c, ck_obj)
-        fileio.save_proof(pi, rec.pi, ck_obj)
+        c, pi = _split_forgery(forgery)
         code, _, _ = run(capsys, "verify", "--ck", str(ck),
                          "--commitment", str(c), "--proof", str(pi))
         assert code == 0
@@ -825,23 +827,37 @@ class TestErrors:
         assert err == ("error: census refused: p + q = 16016280 is above 65536, "
                        "and the census would make 32032560 pairings\n")
 
-    @staticmethod
-    def _refuse_arithmetic(monkeypatch):
-        def called(*args, **kwargs):
-            raise AssertionError("a loader ran a primality or order test")
+    def test_extract_above_the_cap_is_refused_before_any_giant_step(self, capsys, workdir,
+                                                                    monkeypatch):
+        """At 40-bit primes a bound of 2^40 would make about 2.5 * 10^9 giant
+        steps to the commitment's m; extract exits 2 before the first."""
+        ctx, ck, xk, c = (workdir / f"{name}.txt" for name in ("ctx", "ck", "xk", "c"))
+        run(capsys, "params", "--backend", "transparent", "--bits-p", "40", "--bits-q", "40",
+            "--seed", "1", "--out", str(ctx))
+        run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
+            "--out-ck", str(ck), "--out-secret", str(xk), "--seed", "1")
+        run(capsys, "commit", "--ck", str(ck), "--m", "549755813000", "--r", "3",
+            "--out", str(c))
 
-        for module in (arith, groups, curve):
-            monkeypatch.setattr(module, "is_probable_prime", called)
-        monkeypatch.setattr(curve, "mul_is_infinity", called)
+        def searched(*args):
+            raise AssertionError("extract began its search")
+
+        monkeypatch.setattr(groups.BabySteps, "log", searched)
+        code, out, err = run(capsys, "extract", "--secret", str(xk), "--commitment", str(c),
+                             "--bound", str(2 ** 40))
+        assert (code, out) == (2, "")
+        assert err == ("error: extract refused: a search below min(bound, p) = 649522587953 "
+                       "needs 2537197610 giant steps, above 1048576; the largest bound that "
+                       "fits is 268435456\n")
 
     def test_huge_context_is_refused_before_any_arithmetic(self, capsys, workdir,
-                                                           monkeypatch):
+                                                           refuse_arithmetic):
         """q = 53^2444 has 14,000 bits and no factor the trial division
         tries, so one Miller-Rabin base would take seconds; n's bound
         refuses it first, and the error line does not print its digits."""
         ctx = workdir / "ctx.txt"
         ctx.write_text(f"backend=transparent\np=3\nq={HUGE}\n")
-        self._refuse_arithmetic(monkeypatch)
+        refuse_arithmetic()
         code, out, err = run(capsys, "keygen", "--mode", "binding", "--context", str(ctx),
                              "--out-ck", str(workdir / "ck.txt"),
                              "--out-secret", str(workdir / "xk.txt"), "--seed", "1")
@@ -855,7 +871,7 @@ class TestErrors:
         ("fprime", 4 * HUGE - 1, "cofactor {cofactor} does not satisfy cofactor*n = fp + 1"),
     ], ids=["n", "cofactor", "fprime"])
     def test_huge_curve_key_is_refused_before_any_arithmetic(self, capsys, workdir,
-                                                             monkeypatch, field, value,
+                                                             refuse_arithmetic, field, value,
                                                              message):
         """A curve key whose n, cofactor or field prime has 14,000 bits. fp
         needs no bound of its own: cofactor*n = fp + 1 is tested before
@@ -867,7 +883,7 @@ class TestErrors:
         kv = fileio.read_kv(ck)
         kv[field] = str(value)
         fileio.write_kv(ck, list(kv.items()))
-        self._refuse_arithmetic(monkeypatch)
+        refuse_arithmetic()
         code, out, err = run(capsys, "commit", "--ck", str(ck), "--m", "1", "--r", "2",
                              "--out", str(workdir / "c.txt"))
         assert (code, out) == (2, "") and not (workdir / "c.txt").exists()
@@ -875,7 +891,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("kind", ["context", "key"])
     def test_unknown_field_is_refused_before_any_arithmetic(self, capsys, workdir,
-                                                            monkeypatch, kind):
+                                                            refuse_arithmetic, kind):
         """A curve context or key file with one unknown field used to pay
         every primality test and order ladder of its group before its field
         names were read."""
@@ -885,7 +901,7 @@ class TestErrors:
             "--out-ck", str(ck), "--out-secret", str(workdir / "xk.txt"), "--seed", "2")
         path = ctx if kind == "context" else ck
         path.write_text(path.read_text() + "extra=1\n")
-        self._refuse_arithmetic(monkeypatch)
+        refuse_arithmetic()
         if kind == "context":
             argv = ["keygen", "--mode", "hiding", "--context", str(ctx), "--out-ck", str(c),
                     "--out-secret", str(workdir / "tk.txt")]

@@ -22,6 +22,7 @@ from paircommit import (
     CurveContext,
     binding_key_from_exponent,
     commit,
+    pair,
     setup_curve,
     verify,
     wi_prove,
@@ -129,3 +130,23 @@ def test_table_costs_less_than_the_powers_before_it(column):
     counts = measure(SIZES[column])
     mean_untabled = counts["ec_mul without a table, 300 powers"] / POWERS
     assert counts["window table build"] < (TABLE_AT_POWER - 1) * mean_untabled
+
+
+def test_fixed_base_records_and_tables_when_the_policy_says():
+    """A fixed base has no Miller lines after its first pairing and has
+    them after its second; it has no window table after 7 powers and has
+    one after 8. No result depends on when, only the cost does."""
+    plain = setup_curve(5, 7, random.Random(7))
+    ctx = CurveContext(plain.n, plain.field_prime, plain.cofactor, plain.g.value,
+                       plain.p, plain.q)
+    g, fixed = ctx.g, ctx._fixed[ctx.g.value]
+    assert (fixed.pairings, fixed.powers) == (0, 0)
+    pair(g, g)
+    assert fixed.lines is None
+    pair(g, g)
+    assert fixed.lines is not None
+    for _ in range(7):
+        g ** 3
+    assert fixed.table is None
+    g ** 3
+    assert fixed.table is not None

@@ -12,7 +12,6 @@ from paircommit import (
     TransparentContext,
     binding_key_from_exponent,
     commit,
-    forge,
     hiding_key_from_exponent,
     key_fingerprint,
     wi_prove,
@@ -245,14 +244,6 @@ class TestArtifactFiles:
         fileio.save_opening(path, Opening(1, 27))
         assert fileio.load_opening(path) == Opening(1, 27)
 
-    def test_forgery_roundtrip(self, tmp_path, t35):
-        ck, _ = binding_key_from_exponent(t35, 3)
-        rec = forge(ck, 5, 7, beta1=2)
-        path = tmp_path / "forgery.txt"
-        fileio.save_forgery(path, rec, ck)
-        loaded = fileio.load_forgery(path, ck)
-        assert loaded == rec
-
     def test_census_lines(self, t15):
         from paircommit import accepting_census
         ck, _ = binding_key_from_exponent(t15, 1)
@@ -303,14 +294,12 @@ def _file_kinds(ctx, path):
         "proof": (lambda: fileio.save_proof(path, wi_prove(ck, 1, 2), ck),
                   lambda p: fileio.load_proof(p, ck)),
         "opening": (lambda: fileio.save_opening(path, Opening(1, 2)), fileio.load_opening),
-        "forgery": (lambda: fileio.save_forgery(path, forge(ck, ctx.p, ctx.q, beta1=2), ck),
-                    lambda p: fileio.load_forgery(p, ck)),
     }
 
 
 @pytest.mark.parametrize("backend", ["transparent", "curve"])
 @pytest.mark.parametrize("kind", ["context", "key", "extraction-key", "trapdoor-key",
-                                  "commitment", "proof", "opening", "forgery"])
+                                  "commitment", "proof", "opening"])
 class TestFieldLists:
     """A file loads only with its kind's fields, in order. An unknown field
     and a reordered file used to load and re-save to other bytes."""
@@ -321,9 +310,12 @@ class TestFieldLists:
         save()
         return path, load, path.read_text().splitlines(keepends=True)
 
-    def test_unknown_field(self, tmp_path, t35, c35, backend, kind):
+    def test_unknown_field(self, tmp_path, t35, c35, backend, kind, refuse_arithmetic):
+        """Refused before any value is read: a curve commitment or proof
+        used to pay its element's order ladder first."""
         path, load, lines = self._saved(tmp_path, t35, c35, backend, kind)
         path.write_text("".join(lines[:2] + ["colour=blue\n"] + lines[2:]))
+        refuse_arithmetic()
         with pytest.raises(MalformedText) as info:
             load(path)
         assert str(info.value) == f"{path}: unknown field 'colour'"
@@ -338,6 +330,25 @@ class TestFieldLists:
         got, want = (line.partition("=")[0] for line in
                      next((a, b) for a, b in zip(moved, lines) if a != b))
         assert str(info.value) == f"{path}: field {got!r} is out of order, expected {want!r}"
+
+
+@pytest.mark.parametrize("backend", ["transparent", "curve"])
+@pytest.mark.parametrize("kind, field", [("commitment", "c"), ("proof", "pi"), ("opening", "r")])
+def test_unknown_field_before_a_malformed_value(tmp_path, t35, c35, refuse_arithmetic,
+                                                backend, kind, field):
+    """An artifact file's field names are checked before any value is read:
+    with an unknown field and a malformed value, the unknown field is named,
+    and no order ladder or primality test runs. The malformed value used to
+    be reported first, and a curve element's ladder run before either."""
+    path = tmp_path / f"{kind}.txt"
+    save, load = _file_kinds(t35 if backend == "transparent" else c35, path)[kind]
+    save()
+    _replace_field(path, field, "05")
+    path.write_text(path.read_text() + "colour=blue\n")
+    refuse_arithmetic()
+    with pytest.raises(MalformedText) as info:
+        load(path)
+    assert str(info.value) == f"{path}: unknown field 'colour'"
 
 
 @pytest.mark.parametrize("ctx_name", ["t35", "c35"])
@@ -367,7 +378,6 @@ class TestMalformedFields:
         ("commitment", "c", "G:12,x", MalformedText),
         ("commitment", "c", "G:1,1", OffCurvePoint),
         ("proof", "pi", "H:1", MalformedText),
-        ("forgery", "c", "G:139,0", MalformedText),
         # the group itself is invalid: the context's message, after the path
         ("context", "p", "4", DeserializeError),
         ("key", "n", "34", DeserializeError),
