@@ -24,6 +24,7 @@ from .groups import (
     BabySteps,
     GElement,
     GroupContext,
+    mul_pow,
     pair,
 )
 
@@ -205,7 +206,7 @@ def _check_message_range(ck: CommitmentKey, m: int) -> None:
 def commit(ck: CommitmentKey, m: int, r: int) -> Commitment:
     """c = g^m * h^r, with r reduced mod n."""
     _check_message_range(ck, m)
-    c = ck.context.g ** m * ck.h ** r
+    c = mul_pow(ck.context.g, m, ck.h, r)
     return Commitment(c, key_fingerprint(ck))
 
 
@@ -272,7 +273,7 @@ def _wi_prove_any_message(ck: CommitmentKey, m: int, r: int) -> WIProof:
     # unguarded variant: exercises the proof formula for arbitrary m,
     # which the correctness-identity checks need. (g^(2m-1) h^r)^r is
     # computed as g^((2m-1)r) h^(r^2), so only the fixed bases are raised.
-    pi = ck.context.g ** ((2 * m - 1) * r) * ck.h ** (r * r)
+    pi = mul_pow(ck.context.g, (2 * m - 1) * r, ck.h, r * r)
     return WIProof(pi, key_fingerprint(ck))
 
 

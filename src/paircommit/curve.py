@@ -14,8 +14,10 @@ infinity. F_fp2 elements are (a, b) tuples meaning a + b*i. `ec_add`
 is affine chord-and-tangent; `ec_mul` and the Miller loop work in
 Jacobian coordinates (x, y) = (X/Z^2, Y/Z^3), Z = 0 at infinity, walk
 the NAF digits of their exponent (a tabled `ec_mul` reads radix-32
-digits, below), and pay one inversion each at the end. The Miller loop
-makes one fused, denominator-free step per digit (see `tate_pairing`).
+digits, below), and pay one inversion each at the end. `ec_mul` takes
+one or two terms, k*P + k2*Q, and walks the NAF digits of both
+exponents with one doubling chain (Straus). The Miller loop makes one
+fused, denominator-free step per digit (see `tate_pairing`).
 An order check, `mul_is_infinity`, is Montgomery's x-only ladder, with
 no inversion at all.
 
@@ -168,39 +170,71 @@ def _inverses(fp: int, values: list[int]) -> list[int]:
     return out
 
 
-def ec_mul(fp: int, pt: Point, k: int, table: list[list[Point]] | None = None) -> Point:
-    """k*pt, with one inversion at the end.
+def _sum_and_difference(fp: int, a: Point, b: Point) -> list[Point]:
+    """[a + b, a - b], affine, with one inversion: both chords share the
+    denominator x_b - x_a."""
+    (ax, ay), (bx, by) = a, b
+    if ax == bx:  # b = +-a: one is 2a, the other infinity
+        return [ec_add(fp, a, b), ec_add(fp, a, ec_neg(fp, b))]
+    inv = pow(bx - ax, -1, fp)
+    sums = []
+    for y in (by, -by):
+        lam = (y - ay) * inv % fp
+        x = (lam * lam - ax - bx) % fp
+        sums.append((x, (lam * (ax - x) - ay) % fp))
+    return sums
 
-    Given table = window_table(fp, pt, bits) and |k| < 2^bits, the power
-    reads the signed radix-32 digits of |k|, each in [-15, 16], and adds
-    +-d*32^i*pt from row i of the table for each nonzero digit d: only
-    mixed additions, no doublings. Otherwise it doubles once per NAF digit
-    of |k| after the top one and adds +-pt at each nonzero digit, as the
-    Miller loop walks n.
+
+def ec_mul(fp: int, pt: Point, k: int, table: list[list[Point]] | None = None,
+           pt2: Point = None, k2: int = 0, table2: list[list[Point]] | None = None) -> Point:
+    """k*pt, or k*pt + k2*pt2, with one inversion at the end.
+
+    Untabled terms walk their NAF digits from the top with one doubling per
+    digit for both (Straus, "Addition chains of vectors", Amer. Math.
+    Monthly 71, 1964), adding +-pt, +-pt2 or +-(pt +- pt2) at each nonzero
+    digit pair; pt +- pt2 cost one more inversion. Then a term given table = window_table(fp, pt, bits) and
+    |k| < 2^bits reads the signed radix-32 digits of |k|, each in [-15, 16],
+    and adds +-d*32^i*pt from row i of the table for each nonzero digit d:
+    only mixed additions, no doublings.
     """
-    if pt is None or k == 0:
-        return None
-    negative, k = k < 0, abs(k)
-    if table is not None and k.bit_length() < 5 * len(table):
-        x, y, z = 0, 1, 0
-        for row in table:
-            d = ((k + 15) & 31) - 15  # the digit of k mod 32 in [-15, 16]
-            k = (k - d) >> 5
+    walked, tabled, code = [], [], 0
+    for p, e, t in ((pt, k, table), (pt2, k2, table2)):
+        if p is None or e == 0:
+            continue
+        if t is not None and abs(e).bit_length() < 5 * len(t):
+            tabled.append((t, e))
+            continue
+        if e < 0:
+            p, e = ec_neg(fp, p), -e
+        plus, minus = _naf(e)
+        # NAF digit i of each walked term in hex digit i of code, as 1 or 2
+        # for +1 or -1 of the first term and 4 or 8 of the second
+        code += (int(f"{plus:b}", 16) + 2 * int(f"{minus:b}", 16)) << 2 * len(walked)
+        walked.append(p)
+    if len(walked) == 2:
+        walked += _sum_and_difference(fp, *walked)
+    adds = {}  # hex digit -> point: +-pt, +-pt2, +-(pt + pt2), +-(pt - pt2)
+    for (pos, neg), p in zip(("12", "48", "5a", "96"), walked):
+        if p is not None:
+            adds[pos], adds[neg] = p, ec_neg(fp, p)
+    x, y, z = 0, 1, 0
+    steps = iter(f"{code:x}")
+    if (top := next(steps)) in adds:  # the top digits, nonzero if any term walks
+        (x, y), z = adds[top], 1
+    for digits in steps:
+        x, y, z = _jac_double(fp, x, y, z)
+        if digits in adds:
+            ex, ey = adds[digits]
+            x, y, z = _add_affine(fp, x, y, z, ex, ey)
+    for t, e in tabled:
+        negative, e = e < 0, abs(e)
+        for row in t:
+            d = ((e + 15) & 31) - 15  # the digit of e mod 32 in [-15, 16]
+            e = (e - d) >> 5
             if d and (entry := row[abs(d) - 1]) is not None:
                 # -entry for a digit of the opposite sign to the exponent
                 ey = fp - entry[1] if (d < 0) != negative else entry[1]
                 x, y, z = _add_affine(fp, x, y, z, entry[0], ey)
-        return _affine(fp, x, y, z)
-    if negative:
-        pt = ec_neg(fp, pt)
-    px, py = pt
-    neg_py = -py % fp
-    x, y, z = px, py, 1  # the top NAF digit, +1
-    plus, minus = _naf(k)
-    for digit, sign in zip(bin(plus | minus)[3:], bin(plus)[3:]):
-        x, y, z = _jac_double(fp, x, y, z)
-        if digit == "1":
-            x, y, z = _add_affine(fp, x, y, z, px, py if sign == "1" else neg_py)
     return _affine(fp, x, y, z)
 
 

@@ -8,10 +8,10 @@ system
     2*a1*a2 - a2 = b1        (mod n)
     a2^2 = b2                (mod n)
 
-for c = g^a1 h^a2, pi = g^b1 h^b2. Extended Euclid gives k, l with
-k*q - l*p = 1; then a1 = k*q solves the first congruence with a1 not a
-bit, and the rest follows by division. The resulting (c, pi) always
-passes verification.
+for c = g^a1 h^a2, pi = g^b1 h^b2. k = q^-1 mod p and l = (k*q - 1)/p
+give k*q - l*p = 1; then a1 = k*q solves the first congruence with a1
+not a bit, and the rest follows by division. The resulting (c, pi)
+always passes verification.
 
 Whether that pair is actually a *false* claim is a separate question,
 and this module refuses to answer it by fiat: `audit` classifies any
@@ -33,7 +33,7 @@ from functools import partial
 from itertools import accumulate, cycle, repeat
 from operator import mul
 
-from .arith import ext_gcd, mod_inverse
+from .arith import mod_inverse
 from .commitment import (
     BINDING,
     Commitment,
@@ -50,6 +50,7 @@ from .groups import (
     GroupContext,
     _same_group,
     is_in_subgroup_q,
+    mul_pow,
 )
 
 COMMITS_TO_0 = "CommitsTo0"
@@ -150,17 +151,16 @@ def forge(ck: CommitmentKey, p: int, q: int, beta1: int | None = None,
     elif not 0 <= beta1 < n:
         raise ValueError(f"beta1 must lie in [0, {n}), got {beta1}")
 
-    res = ext_gcd(q, p)
-    k_a = res.s  # least positive k with k*q = 1 (mod p)
-    ell = -res.t
+    k_a = pow(q, -1, p)  # least positive k with k*q = 1 (mod p)
+    ell = (k_a * q - 1) // p
     assert k_a * q - ell * p == 1
     alpha1 = k_a * q % n
     # 2*k*q - 1 is coprime to both p and q, so this inverse always exists
     alpha2 = beta1 * mod_inverse(2 * k_a * q - 1, n) % n
     beta2 = alpha2 * alpha2 % n
     fp = key_fingerprint(ck)
-    c = Commitment(ctx.g ** alpha1 * ck.h ** alpha2, fp)
-    pi = WIProof(ctx.g ** beta1 * ck.h ** beta2, fp)
+    c = Commitment(mul_pow(ctx.g, alpha1, ck.h, alpha2), fp)
+    pi = WIProof(mul_pow(ctx.g, beta1, ck.h, beta2), fp)
     return ForgeryRecord(k_a, ell, alpha1, alpha2, beta1, beta2, c, pi)
 
 

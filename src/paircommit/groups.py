@@ -15,9 +15,10 @@ Both backends define the same payload operations, and any protocol
 decision (accept/reject) must come out identically on both for the same
 (p, q, exponent) inputs. GElement and GTElement share one base. The
 operations have one spelling: a * b and a ** e in G and G_T, a.inverse()
-in G alone, and pair(a, b); g_pow is the traced body of a ** e. Contexts
-compare with ==. Mixing two contexts raises ContextMismatch, and mixing
-G with G_T raises TypeError.
+and mul_pow(a, e, b, f) = a ** e * b ** f in G alone, and pair(a, b);
+g_pow is the traced body of a ** e, and the benchmark's tracer reports
+mul_pow under its own name. Contexts compare with ==. Mixing two
+contexts raises ContextMismatch, and mixing G with G_T raises TypeError.
 
 A context may know the factorization of n (built by setup_*) or not
 (rebuilt from public key material); operations that need p or q take
@@ -31,6 +32,7 @@ at their TABLE_AT_POWER-th power and recorded Miller lines at their
 second pairing as the first argument, so that commit, wi_prove and forge
 raise them by additions only and verify's pair(h, pi) replays h's lines.
 Exponents are reduced to (-n/2, n/2] first, so g^-1 costs no doublings.
+mul_pow is one curve.ec_mul, and each of its terms counts as a power.
 Order checks of points (generators and parsed elements) use
 curve.mul_is_infinity.
 """
@@ -129,8 +131,8 @@ class GroupContext:
     A backend sets g and gt, and defines __eq__ (true for the same group;
     __hash__ is set again beside it), the class constants _el_identity
     and _gt_identity, and the payload operations _el_mul, _el_inv,
-    _el_pow, _gt_mul, _gt_pow, _pair, _el_to_text, _el_from_text and
-    _gt_to_text.
+    _el_pow, _el_mulpow, _gt_mul, _gt_pow, _pair, _el_to_text,
+    _el_from_text and _gt_to_text.
     """
 
     backend: str = ""
@@ -194,6 +196,9 @@ class TransparentContext(GroupContext):
 
     def _el_pow(self, a, e):
         return a * (e % self.n) % self.n
+
+    def _el_mulpow(self, a, e, b, f):
+        return (a * e + b * f) % self.n
 
     _gt_mul, _gt_pow = _el_mul, _el_pow
 
@@ -294,19 +299,26 @@ class CurveContext(GroupContext):
     def _el_inv(self, a):
         return curve.ec_neg(self.field_prime, a)
 
-    def _el_pow(self, a, e):
-        fp, n = self.field_prime, self.n
-        # the representative of e in (-n/2, n/2]: g^-1 costs no doublings
+    def _term(self, a, e):
+        """(a, e, a's window table or None) for curve.ec_mul, e in (-n/2, n/2]
+        (g^-1 costs no doublings); a fixed base's power counts toward its table."""
+        n = self.n
         e %= n
         if e > n // 2:
             e -= n
         fixed = self._fixed.get(a)
         if fixed is None:
-            return curve.ec_mul(fp, a, e)
+            return a, e, None
         fixed.powers += 1
         if fixed.powers == TABLE_AT_POWER:
-            fixed.table = curve.window_table(fp, a, (n // 2).bit_length())
-        return curve.ec_mul(fp, a, e, fixed.table)
+            fixed.table = curve.window_table(self.field_prime, a, (n // 2).bit_length())
+        return a, e, fixed.table
+
+    def _el_pow(self, a, e):
+        return curve.ec_mul(self.field_prime, *self._term(a, e))
+
+    def _el_mulpow(self, a, e, b, f):
+        return curve.ec_mul(self.field_prime, *self._term(a, e), *self._term(b, f))
 
     def _gt_mul(self, a, b):
         return curve.f2_mul(self.field_prime, a, b)
@@ -452,6 +464,14 @@ def g_pow(a: GElement, e: int) -> GElement:
     module function because the benchmark's tracer wraps only module
     functions and reports every power as groups.g_pow."""
     return GElement(a.group, a.group._el_pow(a.value, e))
+
+
+def mul_pow(a: GElement, e: int, b: GElement, f: int) -> GElement:
+    """a ** e * b ** f in one walk; a module function, traced as g_pow is."""
+    if type(a) is not GElement:
+        raise TypeError(f"mul_pow takes elements of G, got {type(a).__name__}")
+    _same_group(a, b)
+    return GElement(a.group, a.group._el_mulpow(a.value, e, b.value, f))
 
 
 def pair(a: GElement, b: GElement) -> GTElement:

@@ -296,6 +296,49 @@ def test_table_powers_match_reference(case):
     assert any(None in row for row in window_table(fp, points[3], bits)) == (ctx.p <= 16)
 
 
+def test_products_match_reference(case):
+    """ec_mul with two terms is the oracle's k*P + k2*Q, each term tabled or
+    not: at exponents 0, +-1, +-n/2 (a table's reach) and random signed
+    ones, past the reach too, with a term at infinity, and with Q = P and
+    Q = -P, where P + Q or P - Q is infinity. In the tiny groups (n15, and
+    the 3-bit case, n = 35) partial sums meet infinity too."""
+    ctx, points, _, rng = case
+    fp, n = ctx.field_prime, ctx.n
+    ks = [0, 1, -1, n // 2, -(n // 2)] + [rng.randrange(-n, n) for _ in range(4)]
+    bits = (n // 2).bit_length()
+    g, other = points[1], points[5]
+    pairs = [(g, other), (g, g), (g, points[2]), (None, g), (points[3], points[4])]
+    for pt, pt2 in pairs:
+        multiples = {(q_pt, k): reference_ec_mul(fp, q_pt, k) for q_pt in (pt, pt2) for k in ks}
+        tables = (None, window_table(fp, pt, bits)), (None, window_table(fp, pt2, bits))
+        for table in tables[0]:
+            for table2 in tables[1]:
+                for k in ks:
+                    for k2 in ks:
+                        want = ec_add(fp, multiples[pt, k], multiples[pt2, k2])
+                        assert ec_mul(fp, pt, k, table, pt2, k2, table2) == want, \
+                            (pt, k, table is None, pt2, k2, table2 is None)
+
+
+def test_context_products_match_reference(case):
+    """A context's products of g and a key's h agree with the oracle from
+    the first, through the one that builds both window tables, on; and so
+    do products of a fixed base with an element that has no table."""
+    ctx, points, scalars, rng = case
+    fp, n = ctx.field_prime, ctx.n
+    ctx = CurveContext(n, fp, ctx.cofactor, ctx.g.value, ctx.p, ctx.q)
+    ck, _ = binding_key_from_exponent(ctx, rng.randrange(1, ctx.q))
+    g, h, other = ctx.g, ck.h, ctx.element(points[5])
+    for i in range(2 * TABLE_AT_POWER):
+        e, f = rng.randrange(-n, n), rng.randrange(-n, n)
+        want = ec_add(fp, reference_ec_mul(fp, g.value, e), reference_ec_mul(fp, h.value, f))
+        assert groups.mul_pow(g, e, h, f).value == want, (i, e, f)
+        want = ec_add(fp, reference_ec_mul(fp, h.value, e), reference_ec_mul(fp, other.value, f))
+        assert groups.mul_pow(h, e, other, f).value == want, (i, e, f)
+    assert ctx._fixed[g.value].table is not None and ctx._fixed[h.value].table is not None
+    assert other.value not in ctx._fixed
+
+
 def test_replayed_pairings_match_reference(case):
     ctx, points, _, rng = case
     fp, n = ctx.field_prime, ctx.n

@@ -5,12 +5,13 @@ at an 8-bit curve context, then mutated: one bit flipped, two lines swapped, a l
 or duplicated, an integer moved by one or given a leading 0 or +, or one
 field's value copied into another field. Most mutations keep the syntax and reach the meaning checks
 (order, h^q, x matching h). A loader must return an object that re-saves
-to the mutated bytes, or raise a DeserializeError; through cli.main, a
-mutated file exits 0, 1 or 2 and prints no traceback.
+to the mutated bytes, or raise a DeserializeError, within LOAD_SECONDS;
+through cli.main, a mutated file exits 0, 1 or 2 and prints no traceback.
 """
 
 import random
 import re
+import time
 from functools import partial
 
 import pytest
@@ -33,6 +34,12 @@ from paircommit.commitment import Opening
 # the same examples on every run, so tier-1 stays deterministic and bounded
 FUZZ = settings(derandomize=True, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
+
+# A load that runs for seconds is a fault, as a wrong answer is. The slowest
+# legitimate load, a 64-bit curve extraction key (a 137-bit field prime's
+# primality test, order ladders and h^q), takes a few ms, so this bound holds
+# with a wide margin on a host whose speed drifts by 2x.
+LOAD_SECONDS = 2.0
 
 
 class _Seeds:
@@ -121,12 +128,16 @@ def test_loader_accepts_only_what_it_resaves(seeds, kind, tmp_path_factory):
     @given(mutations(seeds.text(kind)))
     def check(text):
         mutated.write_bytes(text)
+        start = time.perf_counter()
         try:
             obj = load(mutated)
         except DeserializeError:
-            return
-        save(resaved, obj)
-        assert resaved.read_bytes() == text
+            obj = None
+        seconds = time.perf_counter() - start
+        assert seconds < LOAD_SECONDS, seconds
+        if obj is not None:
+            save(resaved, obj)
+            assert resaved.read_bytes() == text
 
     check()
 

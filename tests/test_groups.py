@@ -15,14 +15,16 @@ from paircommit import (
     binding_key_from_exponent,
     commit,
     element_from_text,
+    forge,
     is_in_subgroup_q,
     pair,
     setup_curve,
     setup_transparent,
     wi_prove,
 )
-from paircommit import curve, groups
+from paircommit import commitment, curve, forgery, groups
 from paircommit.curve import ec_mul, is_on_curve, random_point
+from paircommit.groups import mul_pow
 from paircommit.selftest import gq_membership, nondegeneracy, pairing_laws
 
 
@@ -172,23 +174,56 @@ class TestOperations:
             pair(t35.g, c35.g)
 
     def test_every_power_calls_g_pow(self, t35, monkeypatch):
-        """The benchmark counts powers as calls of groups.g_pow; a ** e that
-        skipped it would read 0 there and fail nothing else. audit takes
-        its probes on payloads, as the census does, so it raises no element."""
-        real, calls = groups.g_pow, []
-
-        def counting(a, e):
-            calls.append(e)
-            return real(a, e)
-
-        monkeypatch.setattr(groups, "g_pow", counting)
+        """The benchmark counts a lone power as one call of groups.g_pow and
+        a product of two powers as one of groups.mul_pow; a ** e that
+        skipped g_pow would read 0 there and fail nothing else. commit,
+        wi_prove and forge's c and pi are products. audit takes its probes on
+        payloads, as the census does, so it raises no element."""
+        calls = []
+        for name in ("g_pow", "mul_pow"):
+            real = getattr(groups, name)
+            counting = (lambda *args, real=real, name=name:
+                        calls.append(name) or real(*args))
+            # every binding, as the benchmark's tracer swaps them
+            for module in (groups, commitment, forgery):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
         ck, _ = binding_key_from_exponent(t35, 3)
         c = commit(ck, 1, 2)
-        for op, count in ((lambda: commit(ck, 1, 2), 2), (lambda: wi_prove(ck, 1, 2), 2),
-                          (lambda: audit(7, ck, c), 0), (lambda: t35.g ** 5, 1)):
+        for op, want in ((lambda: commit(ck, 1, 2), ["mul_pow"]),
+                         (lambda: wi_prove(ck, 1, 2), ["mul_pow"]),
+                         (lambda: forge(ck, 5, 7, beta1=3), ["mul_pow"] * 2),
+                         (lambda: audit(7, ck, c), []), (lambda: t35.g ** 5, ["g_pow"])):
             calls.clear()
             op()
-            assert len(calls) == count
+            assert calls == want
+
+    @pytest.mark.parametrize("backend", ["transparent", "curve"])
+    def test_mul_pow_is_the_product_of_two_powers(self, backend, t35, t15, c35, c15):
+        """mul_pow(a, e, b, f) == a ** e * b ** f at exponents 0, +-1, +-n/2
+        and random signed ones, with either base the identity, with b = a
+        and b = a^-1, in both tiny groups, and past the eighth power, where
+        g and a key's h are raised through their window tables."""
+        ctxs = (t35, t15) if backend == "transparent" else (c35, c15)
+        rng = random.Random(35)
+        for ctx in ctxs:
+            n, g = ctx.n, ctx.g
+            ck, _ = binding_key_from_exponent(ctx, 2)
+            es = [0, 1, -1, n // 2, -(n // 2)] + [rng.randrange(-n * n, n * n) for _ in range(4)]
+            bases = [g, ck.h, g ** 0, g ** 2, g.inverse(), ck.h ** 3]
+            for a in bases:
+                for b in bases:
+                    for e in es:
+                        for f in es:
+                            assert mul_pow(a, e, b, f) == a ** e * b ** f, (a, e, b, f)
+
+    def test_mul_pow_checks_its_operands(self, t35, t15, c35):
+        for a, b in ((t35.g, t15.g), (t35.g, c35.g)):
+            with pytest.raises(ContextMismatch):
+                mul_pow(a, 1, b, 1)
+        for a, b in ((t35.gt, t35.gt), (t35.g, t35.gt), (t35.gt, t35.g)):
+            with pytest.raises(TypeError):
+                mul_pow(a, 1, b, 1)
 
 
 class TestContextEquality:
